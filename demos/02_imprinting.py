@@ -10,6 +10,7 @@ import numpy as np
 
 from akcarc.data import SyntheticTaskSpec, generate_task, split_labeled
 from akcarc.model import Classifier, LinearHead, MlpExtractor, imprint
+from akcarc.ssl_baselines import cross_entropy_loss
 from akcarc.training import accuracy, train_supervised
 
 rng = np.random.default_rng(0)
@@ -36,7 +37,6 @@ print(f"random head, no training:    test acc "
 imprinted = Classifier(ext.copy(), LinearHead(4, 32))
 feats = imprinted.extractor.forward(target.labeled_x)
 imprint(imprinted.head, feats, target.labeled_y)
-imprinted.extractor._cache = None
 acc0 = accuracy(imprinted, target.test_x, target.test_y)
 print(f"imprinted head, no training: test acc {acc0:.3f} "
       f"(chance = {1 / 4:.2f})")
@@ -44,3 +44,14 @@ print(f"imprinted head, no training: test acc {acc0:.3f} "
 # every imprinted weight row is a unit vector
 norms = np.linalg.norm(imprinted.head.w, axis=1)
 print(f"imprinted row norms: {np.round(norms, 6).tolist()}")
+
+# fine-tuning starts here: one forward (`activations`), a loss on the
+# logits, and one `backward` that takes those activations back
+acts = imprinted.extractor.activations(target.labeled_x)
+loss, d_logits = cross_entropy_loss(imprinted.head.forward(acts[-1]),
+                                    target.labeled_y)
+grads = imprinted.backward(acts, d_logits)
+for name, p in imprinted.params().items():
+    p -= 0.01 * grads[name]
+print(f"one gradient step from the imprinted head: CE {loss:.4f} -> "
+      f"{cross_entropy_loss(imprinted.forward(target.labeled_x), target.labeled_y)[0]:.4f}")

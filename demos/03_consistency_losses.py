@@ -36,19 +36,23 @@ print(f"gates: eps_k = 0.7 ln 5 = {gate.eps_k:.3f} nats, "
       f"eps_r = 0.7 ln 3 = {gate.eps_r:.3f} nats")
 
 # --- AKC -------------------------------------------------------------
+# Each loss is a function of features: it returns its value and its
+# gradient w.r.t. those features. The frozen source is evaluated once.
 probs = softmax_rows(source.forward(x))
 ents = entropy_rows(probs)
 w = akc_weights(source, x, gate.eps_k)
+f0 = source.extractor.forward(x)
 print(f"\nsource prediction entropies: {np.round(ents, 2).tolist()}")
 print(f"AKC gate weights:            {w.astype(int).tolist()}")
 
-value, grads, frac = akc_loss(pair, x, gate.eps_k, mode="mse")
+acts = tgt_ext.activations(x)  # one forward; backward takes these back
+value, d_f, frac = akc_loss(acts[-1], f0, w, mode="mse")
 print(f"AKC loss {value:.4f}, selected fraction {frac:.2f}")
+grads = tgt_ext.backward(acts, d_f)
 print(f"gradient keys (target extractor only): {sorted(grads)}")
 
 # identical extractors -> zero penalty regardless of the gate
-same = ModelPair(source=source, target=Classifier(ext.copy(), LinearHead(3, 6)))
-v0, _, _ = akc_loss(same, x, gate.eps_k)
+v0, _, _ = akc_loss(f0, f0, w)
 print(f"with theta == theta0 the penalty is exactly {v0}")
 
 # --- ARC -------------------------------------------------------------
@@ -56,14 +60,18 @@ buf_l = ReplayBuffer(capacity=64, k=64)
 buf_u = ReplayBuffer(capacity=64, k=64)
 x_l = rng.normal(size=(6, 8))
 x_u = rng.normal(size=(10, 8)) + 0.3  # slightly shifted unlabeled stream
+head = pair.target.head
 
 print("\nARC over three steps (buffers fill up):")
 for step in range(3):
-    v, _, frac_l, frac_u = arc_loss(pair, x_l, x_u, np.log(3), buf_l, buf_u)
+    f_l, f_u = tgt_ext.forward(x_l), tgt_ext.forward(x_u)
+    v, (d_l, d_u), frac_l, frac_u = arc_loss(
+        f_l, f_u, head.forward(f_l), head.forward(f_u), np.log(3), buf_l, buf_u
+    )
     print(f"  step {step}: R_R = {v:.5f}, selected "
           f"{frac_l:.2f} labeled / {frac_u:.2f} unlabeled, "
           f"buffers hold {len(buf_l)}/{len(buf_u)} rows")
 
 # the penalty is the MMD of the fetched sets; equal sets give zero
-f = pair.target.extractor.forward(x_l)
+f = tgt_ext.forward(x_l)
 print(f"\nmmd2 of a set against itself: {mmd2(f, f, [1.0]):.2e}")

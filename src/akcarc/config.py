@@ -75,9 +75,8 @@ class ExperimentConfig:
 
     def ssl_config(self) -> SslConfig:
         return SslConfig(
-            method=self.ssl_method(), lambda_s=self.lambda_s,
-            pl_confidence=self.pl_confidence, ema_alpha=self.ema_alpha,
-            noise_std=self.noise_std,
+            method=self.ssl_method(), pl_confidence=self.pl_confidence,
+            ema_alpha=self.ema_alpha, noise_std=self.noise_std,
         )
 
     def loss_weights(self) -> LossWeights:
@@ -130,7 +129,7 @@ class ExperimentConfig:
             )
         source = load_csv(self.source_train_csv)
         target = load_csv(self.target_train_csv)
-        test = load_csv(self.target_test_csv)
+        test = load_csv(self.target_test_csv, label_map=target.label_map)
         target.test_x, target.test_y = test.labeled_x, test.labeled_y
         target.test_ids = test.labeled_ids + target.labeled_ids.size
         return source, target
@@ -202,7 +201,7 @@ class ExperimentConfig:
             leaf = parts[-1]
             if leaf not in node:
                 raise ConfigError(f"unknown config key: {key}")
-            node[leaf] = _coerce(value, node[leaf])
+            node[leaf] = _coerce(key, value, node[leaf])
         return ExperimentConfig.from_dict(d)
 
     def default_out_dir(self) -> str:
@@ -212,17 +211,25 @@ class ExperimentConfig:
         return os.path.join(root, f"{self.method.replace('+', '_')}_seed{self.seed}")
 
 
-def _coerce(text: str, current):
+def _coerce(key: str, text: str, current):
     if isinstance(current, bool):
         if text.lower() in ("true", "1", "yes"):
             return True
         if text.lower() in ("false", "0", "no"):
             return False
-        raise ConfigError(f"cannot parse boolean from {text!r}")
-    if isinstance(current, int) and not isinstance(current, bool):
-        return int(text)
-    if isinstance(current, float):
-        return float(text)
-    if isinstance(current, (list, tuple)):
-        return json.loads(text)
+        raise ConfigError(f"{key}: cannot parse boolean from {text!r}")
+    try:
+        if isinstance(current, int):
+            return int(text)
+        if isinstance(current, float):
+            return float(text)
+        if isinstance(current, (list, tuple)):
+            value = json.loads(text)
+            if not isinstance(value, list):
+                raise ValueError("not a JSON list")
+            return value
+    except ValueError as exc:
+        raise ConfigError(
+            f"{key}: cannot parse {text!r} as {type(current).__name__} ({exc})"
+        ) from None
     return text

@@ -1,6 +1,7 @@
 """Adaptive knowledge consistency (AKC) and adaptive representation
 consistency (ARC): entropy-gated sample selection, the replay buffer, and
-the two regularization losses with analytic gradients.
+the two regularization losses. Each loss is a function of extractor
+features that returns its value and its gradient w.r.t. those features.
 
 AKC penalizes divergence between frozen-source and target extractor
 features on confidently recognized inputs. ARC penalizes MMD between the
@@ -20,7 +21,6 @@ from .numerics import (
     entropy,
     entropy_rows,
     median_sigmas,
-    mmd2,
     mmd2_value_grad,
     softmax_backward,
     softmax_rows,
@@ -54,30 +54,26 @@ def akc_weights(source_model, x, eps_k: float) -> np.ndarray:
     return (entropy_rows(probs) <= eps_k).astype(np.float64)
 
 
-def akc_loss(pair, x, eps_k: float, mode: str = "mse", weights=None):
+def akc_loss(features, source_features, weights, mode: str = "mse"):
     """Knowledge-consistency penalty between source and target features.
 
     R_K = (1/B) sum_i w_i * D(F_source(x_i), F_target(x_i)), D per `mode`
-    ("mse" on raw features, "kl" on softmax-normalized features). Returns
-    (value, grads for the target extractor keyed "ext.*", selected_fraction).
-    Precomputed `weights` skip the source forward pass.
+    ("mse" on raw features, "kl" on softmax-normalized features), where
+    `weights` are the AKC gate weights of the rows. Returns (value,
+    dR_K/d`features`, selected_fraction).
     """
-    x = as_tensor2(x)
-    b = x.shape[0]
+    f = as_tensor2(features)
+    b = f.shape[0]
     if b == 0:
         raise EmptyInput("akc_loss requires a non-empty batch")
-    if weights is None:
-        weights = akc_weights(pair.source, x, eps_k)
+    f0 = as_tensor2(source_features)
+    if f0.shape != f.shape:
+        raise ShapeError(f"source features {f0.shape} != target features {f.shape}")
     w = np.asarray(weights, dtype=np.float64)
     frac = float(w.sum() / b)
-
-    ext = pair.target.extractor
-    zero = {f"ext.{k}": np.zeros_like(v) for k, v in ext.params().items()}
     if w.sum() == 0:
-        return 0.0, zero, frac
+        return 0.0, np.zeros_like(f), frac
 
-    f0 = pair.source.extractor.forward(x)
-    f = ext.forward(x)
     if mode == "mse":
         # squared euclidean distance per sample (summed over feature dims,
         # matching the dimensional scaling of the KL mode)
@@ -94,8 +90,7 @@ def akc_loss(pair, x, eps_k: float, mode: str = "mse", weights=None):
         d_f = softmax_backward(q, d_q) * (w[:, None] / b)
     else:
         raise ValueError(f"unknown AKC mode {mode!r}")
-    grads = {f"ext.{k}": v for k, v in ext.backward(d_f).items()}
-    return value, grads, frac
+    return value, d_f, frac
 
 
 class ReplayBuffer:
@@ -152,40 +147,32 @@ def arc_select(features, preds, eps_r: float):
     return idx, f[idx]
 
 
-def arc_loss(pair, x_labeled, x_unlabeled, eps_r, buf_l, buf_u, sigmas=None):
+def arc_loss(f_l, f_u, logits_l, logits_u, eps_r, buf_l, buf_u, sigmas=None):
     """Representation-consistency penalty between labeled and unlabeled streams.
 
-    Selected current-batch features are pushed into the per-stream replay
-    buffers; the MMD is computed on the fetched recent-k sets. Gradients
-    flow only through current-batch selected rows (buffered rows are
-    detached). If either fetched set has fewer than 2 rows the loss is 0
-    with zero gradient. Returns (value, grads keyed "ext.*",
-    labeled_fraction, unlabeled_fraction).
+    Rows of the features `f_l`, `f_u` whose target prediction (softmax of
+    the matching logits) passes the entropy gate are pushed into the
+    per-stream replay buffers; the MMD is computed on the fetched recent-k
+    sets. Gradients flow only through current-batch selected rows
+    (buffered rows are detached). If either fetched set has fewer than 2
+    rows the loss is 0 with zero gradient. Returns (value, (dR/df_l,
+    dR/df_u), labeled_fraction, unlabeled_fraction).
 
     `sigmas=None` uses the median-distance heuristic on the fetched sets;
     bandwidths are constants with respect to the gradient.
     """
-    ext = pair.target.extractor
-    x_l, x_u = as_tensor2(x_labeled), as_tensor2(x_unlabeled)
-
-    f_l = ext.forward(x_l)
-    cache_l = ext.take_cache()
-    f_u = ext.forward(x_u)
-    cache_u = ext.take_cache()
-
-    p_l = softmax_rows(pair.target.head.forward(f_l))
-    p_u = softmax_rows(pair.target.head.forward(f_u))
-    idx_l, sel_l = arc_select(f_l, p_l, eps_r)
-    idx_u, sel_u = arc_select(f_u, p_u, eps_r)
-    frac_l = len(idx_l) / max(x_l.shape[0], 1)
-    frac_u = len(idx_u) / max(x_u.shape[0], 1)
+    f_l, f_u = as_tensor2(f_l), as_tensor2(f_u)
+    idx_l, sel_l = arc_select(f_l, softmax_rows(logits_l), eps_r)
+    idx_u, sel_u = arc_select(f_u, softmax_rows(logits_u), eps_r)
+    frac_l = len(idx_l) / max(f_l.shape[0], 1)
+    frac_u = len(idx_u) / max(f_u.shape[0], 1)
 
     star_l = buffer_update_and_fetch(buf_l, sel_l)
     star_u = buffer_update_and_fetch(buf_u, sel_u)
 
-    zero = {f"ext.{k}": np.zeros_like(v) for k, v in ext.params().items()}
+    d_f_l, d_f_u = np.zeros_like(f_l), np.zeros_like(f_u)
     if star_l.shape[0] < 2 or star_u.shape[0] < 2:
-        return 0.0, zero, frac_l, frac_u
+        return 0.0, (d_f_l, d_f_u), frac_l, frac_u
 
     if sigmas is None:
         sigmas = median_sigmas(star_l, star_u)
@@ -193,16 +180,8 @@ def arc_loss(pair, x_labeled, x_unlabeled, eps_r, buf_l, buf_u, sigmas=None):
 
     # current-batch rows are the newest pushes, i.e. the tail of the fetched
     # set; only they carry gradients back into the extractor
-    def scatter(d_star, idx, n_rows, dim):
-        d_f = np.zeros((n_rows, dim))
+    for d_f, d_star, idx in ((d_f_l, d_star_l, idx_l), (d_f_u, d_star_u, idx_u)):
         n_current = min(len(idx), d_star.shape[0])
         if n_current:
             d_f[idx[-n_current:]] = d_star[-n_current:]
-        return d_f
-
-    d_f_l = scatter(d_star_l, idx_l, f_l.shape[0], f_l.shape[1])
-    d_f_u = scatter(d_star_u, idx_u, f_u.shape[0], f_u.shape[1])
-    grads = {f"ext.{k}": v for k, v in ext.backward(d_f_l, cache_l).items()}
-    for k, v in ext.backward(d_f_u, cache_u).items():
-        grads[f"ext.{k}"] += v
-    return float(value), grads, frac_l, frac_u
+    return float(value), (d_f_l, d_f_u), frac_l, frac_u

@@ -166,11 +166,13 @@ def split_labeled(target: SplitSet, n: int, seed: int) -> SplitSet:
     )
 
 
-def load_csv(path, label_column: str = "label") -> SplitSet:
+def load_csv(path, label_column: str = "label", label_map=None) -> SplitSet:
     """Read a header-bearing numeric CSV into a fully labeled SplitSet.
 
     Labels are remapped to dense 0..C-1; the mapping is recorded in
-    `label_map` (original -> dense). Parse failures report line and column.
+    `label_map` (original -> dense). A given `label_map` (e.g. that of the
+    training file, when reading its test file) is used instead, and a label
+    outside it is a ParseError. Parse failures report line and column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -196,6 +198,11 @@ def load_csv(path, label_column: str = "label") -> SplitSet:
                         raise ParseError(
                             f"{path}:{line_no}:{col + 1}: bad label {cell!r}"
                         ) from None
+                    if label_map is not None and labels[-1] not in label_map:
+                        raise ParseError(
+                            f"{path}:{line_no}:{col + 1}: label {labels[-1]} "
+                            "is not among the training labels"
+                        )
                 else:
                     try:
                         feats.append(float(cell))
@@ -207,10 +214,9 @@ def load_csv(path, label_column: str = "label") -> SplitSet:
     if not rows:
         raise ParseError(f"{path}: no data rows")
     x = np.asarray(rows, dtype=np.float64)
-    raw = np.asarray(labels, dtype=int)
-    uniques = sorted(set(raw.tolist()))
-    label_map = {orig: dense for dense, orig in enumerate(uniques)}
-    y = np.asarray([label_map[v] for v in raw], dtype=int)
+    if label_map is None:
+        label_map = {orig: dense for dense, orig in enumerate(sorted(set(labels)))}
+    y = np.asarray([label_map[v] for v in labels], dtype=int)
     dim = x.shape[1]
     return SplitSet(
         labeled_x=x, labeled_y=y,

@@ -18,7 +18,7 @@ class EmptyInput(AkcArcError):
 
 
 class StateError(AkcArcError):
-    """Operation called in the wrong state (e.g. backward before forward)."""
+    """Operation called in the wrong state (e.g. an unsupported checkpoint)."""
 
 
 class MissingClassError(AkcArcError):

@@ -32,14 +32,14 @@ class MlpExtractor:
             glorot_uniform(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)
         ]
         self.biases = [np.zeros((1, dims[i + 1])) for i in range(len(dims) - 1)]
-        self._cache = None
 
     @property
     def out_dim(self) -> int:
         return self.dims[-1]
 
-    def forward(self, x) -> np.ndarray:
-        """Compute features for a batch; caches intermediates for backward."""
+    def activations(self, x) -> list:
+        """Layer activations [x, hidden..., features] of a batch; `backward`
+        takes them back."""
         a = as_tensor2(x)
         if a.shape[1] != self.dims[0]:
             raise ShapeError(f"input dim {a.shape[1]} != {self.dims[0]}")
@@ -49,26 +49,17 @@ class MlpExtractor:
             z = acts[-1] @ w + b
             a = np.maximum(z, 0.0) if i < n_layers - 1 else z
             acts.append(a)
-        self._cache = acts
-        return acts[-1]
+        return acts
 
-    def take_cache(self):
-        """Detach the cache of the most recent forward (for a later backward)."""
-        if self._cache is None:
-            raise StateError("no forward pass cached")
-        cache, self._cache = self._cache, None
-        return cache
+    def forward(self, x) -> np.ndarray:
+        """Features of a batch."""
+        return self.activations(x)[-1]
 
-    def backward(self, d_features: np.ndarray, cache=None):
-        """Parameter gradients from dL/dF of a cached forward pass.
-
-        Uses the most recent forward unless an explicit cache (from
-        `take_cache`) is given. Returns {"W0": ..., "b0": ..., ...};
-        does not mutate parameters.
+    def backward(self, acts, d_features: np.ndarray):
+        """Parameter gradients from dL/dF at the activations `acts` of one
+        batch. Returns {"W0": ..., "b0": ..., ...}; does not mutate
+        parameters.
         """
-        acts = cache if cache is not None else self._cache
-        if acts is None:
-            raise StateError("backward called before forward")
         d = as_tensor2(d_features)
         if d.shape != acts[-1].shape:
             raise ShapeError(f"gradient shape {d.shape} != {acts[-1].shape}")
@@ -94,7 +85,6 @@ class MlpExtractor:
         c.dims = list(self.dims)
         c.weights = [w.copy() for w in self.weights]
         c.biases = [b.copy() for b in self.biases]
-        c._cache = None
         return c
 
 
@@ -149,6 +139,16 @@ class Classifier:
 
     def predict(self, x) -> np.ndarray:
         return np.argmax(self.forward(x), axis=1)
+
+    def backward(self, acts, d_logits, d_features=None):
+        """Gradients keyed like params() from dL/dlogits and an optional
+        extra dL/dF, both at the extractor activations `acts` of one batch."""
+        head_grads, d_f = self.head.backward(acts[-1], d_logits)
+        if d_features is not None:
+            d_f = d_f + d_features
+        grads = {f"ext.{k}": v for k, v in self.extractor.backward(acts, d_f).items()}
+        grads.update({f"head.{k}": v for k, v in head_grads.items()})
+        return grads
 
     def params(self):
         out = {f"ext.{k}": v for k, v in self.extractor.params().items()}

@@ -84,14 +84,6 @@ def kl_div(p, q) -> float:
     return float((p[mask] * (np.log(p[mask]) - np.log(qc[mask]))).sum())
 
 
-def mse(a, b) -> float:
-    """Mean over all entries of squared differences."""
-    a, b = as_tensor2(a), as_tensor2(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.mean((a - b) ** 2))
-
-
 # ---------------------------------------------------------------------------
 # kernels and MMD
 
@@ -174,12 +166,6 @@ def mmd2_value_grad(v, u, sigmas):
     return float(value), dv, du
 
 
-def mmd2_grad(v, u, sigmas):
-    """Gradient-only convenience wrapper around mmd2_value_grad."""
-    _, dv, du = mmd2_value_grad(v, u, sigmas)
-    return dv, du
-
-
 def median_sigmas(v, u, factors=(0.5, 1.0, 2.0)):
     """Bandwidths from the median pairwise distance of the pooled rows.
 
@@ -193,33 +179,6 @@ def median_sigmas(v, u, factors=(0.5, 1.0, 2.0)):
     if med <= 0.0:
         med = 1.0
     return [med * f for f in factors]
-
-
-# ---------------------------------------------------------------------------
-# dense kernels
-
-
-def matmul(a, b) -> np.ndarray:
-    a, b = as_tensor2(a), as_tensor2(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shapes {a.shape} x {b.shape}")
-    return a @ b
-
-def add(a, b) -> np.ndarray:
-    a, b = as_tensor2(a), as_tensor2(b)
-    if a.shape != b.shape and not (b.shape[0] == 1 and b.shape[1] == a.shape[1]):
-        raise ShapeError(f"add shapes {a.shape} vs {b.shape}")
-    return a + b
-
-def relu(a) -> np.ndarray:
-    return np.maximum(as_tensor2(a), 0.0)
-
-def relu_grad(a) -> np.ndarray:
-    """Derivative of relu; subgradient 0 at 0."""
-    return (as_tensor2(a) > 0).astype(np.float64)
-
-def scale(a, c: float) -> np.ndarray:
-    return as_tensor2(a) * c
 
 
 def softmax_backward(q: np.ndarray, dq: np.ndarray) -> np.ndarray:

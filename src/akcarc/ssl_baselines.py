@@ -1,6 +1,7 @@
 """Supervised cross-entropy plus the plug-in semi-supervised losses:
-pseudo-labeling and mean teacher. Each returns (value, grads) with grads
-keyed like Classifier.params() ("ext.W0", ..., "head.W", "head.b")."""
+pseudo-labeling and mean teacher. Each is a function of logits returning
+(value, dL/dlogits); `Classifier.backward` turns that into parameter
+gradients."""
 
 from dataclasses import dataclass
 
@@ -20,7 +21,6 @@ class SslConfig:
     """
 
     method: str = "none"  # none | pseudo_label | mean_teacher
-    lambda_s: float = 1.0
     pl_confidence: float = 0.95
     ema_alpha: float = 0.999
     noise_std: float = 0.1
@@ -34,75 +34,66 @@ def zero_grads(model) -> dict:
     return {k: np.zeros_like(v) for k, v in model.params().items()}
 
 
-def _full_backward(model, d_logits, features, cache):
-    head_grads, d_features = model.head.backward(features, d_logits)
-    ext_grads = model.extractor.backward(d_features, cache)
-    grads = {f"ext.{k}": v for k, v in ext_grads.items()}
-    grads.update({f"head.{k}": v for k, v in head_grads.items()})
-    return grads
-
-
-def cross_entropy_loss(model, x, y):
+def cross_entropy_loss(logits, y):
     """Mean negative log-probability of the true class."""
-    x = as_tensor2(x)
+    z = as_tensor2(logits)
     y = np.asarray(y, dtype=int)
-    if x.shape[0] == 0:
+    if z.shape[0] == 0:
         raise EmptyInput("cross_entropy_loss requires a non-empty batch")
-    c = model.head.n_classes
+    c = z.shape[1]
     if np.any(y < 0) or np.any(y >= c):
         raise InvalidLabel(f"labels must be in [0, {c})")
-    b = x.shape[0]
-    features = model.extractor.forward(x)
-    cache = model.extractor.take_cache()
-    probs = softmax_rows(model.head.forward(features))
+    b = z.shape[0]
+    probs = softmax_rows(z)
     value = float(-np.log(np.maximum(probs[np.arange(b), y], LOG_CLAMP)).mean())
     d_logits = probs.copy()
     d_logits[np.arange(b), y] -= 1.0
     d_logits /= b
-    return value, _full_backward(model, d_logits, features, cache)
+    return value, d_logits
 
 
-def pseudo_label_loss(model, x_unlabeled, pl_confidence: float):
+def pseudo_label_loss(logits, pl_confidence: float):
     """Cross-entropy against the model's own confident argmax predictions.
 
     Examples with max softmax probability below pl_confidence are ignored;
     the loss averages over accepted examples (0 if none). The pseudo-label
     is treated as a constant.
     """
-    x = as_tensor2(x_unlabeled)
-    if x.shape[0] == 0:
+    z = as_tensor2(logits)
+    if z.shape[0] == 0:
         raise EmptyInput("pseudo_label_loss requires a non-empty batch")
-    features = model.extractor.forward(x)
-    cache = model.extractor.take_cache()
-    probs = softmax_rows(model.head.forward(features))
+    probs = softmax_rows(z)
+    d_logits = np.zeros_like(probs)
     accepted = np.flatnonzero(probs.max(axis=1) >= pl_confidence)
     if accepted.size == 0:
-        return 0.0, zero_grads(model)
+        return 0.0, d_logits
     labels = probs[accepted].argmax(axis=1)
     picked = np.maximum(probs[accepted, labels], LOG_CLAMP)
     value = float(-np.log(picked).mean())
-    d_logits = np.zeros_like(probs)
     d_logits[accepted] = probs[accepted]
     d_logits[accepted, labels] -= 1.0
     d_logits /= accepted.size
-    return value, _full_backward(model, d_logits, features, cache)
+    return value, d_logits
 
 
-def mean_teacher_loss(student, teacher, x_unlabeled, noise_std: float, rng):
-    """Consistency between student and EMA-teacher softmax outputs under
-    independent Gaussian input perturbations. Gradients reach the student
-    only."""
+def noisy_views(x_unlabeled, noise_std: float, rng):
+    """Student and teacher inputs for mean teacher: two independent Gaussian
+    perturbations of the batch, drawn in that order (none if noise_std is 0)."""
     x = as_tensor2(x_unlabeled)
-    if x.shape[0] == 0:
-        raise EmptyInput("mean_teacher_loss requires a non-empty batch")
     x_s = x + rng.normal(0.0, noise_std, size=x.shape) if noise_std > 0 else x
     x_t = x + rng.normal(0.0, noise_std, size=x.shape) if noise_std > 0 else x
-    features = student.extractor.forward(x_s)
-    cache = student.extractor.take_cache()
-    p_s = softmax_rows(student.head.forward(features))
-    p_t = softmax_rows(teacher.forward(x_t))
-    diff = p_s - p_t
+    return x_s, x_t
+
+
+def mean_teacher_loss(student_logits, teacher_logits):
+    """Mean squared difference between student and EMA-teacher softmax
+    outputs. The teacher side is a constant: the gradient is w.r.t. the
+    student logits only."""
+    z = as_tensor2(student_logits)
+    if z.shape[0] == 0:
+        raise EmptyInput("mean_teacher_loss requires a non-empty batch")
+    p_s = softmax_rows(z)
+    diff = p_s - softmax_rows(teacher_logits)
     value = float((diff * diff).mean())
     d_p = 2.0 * diff / diff.size
-    d_logits = softmax_backward(p_s, d_p)
-    return value, _full_backward(student, d_logits, features, cache)
+    return value, softmax_backward(p_s, d_p)

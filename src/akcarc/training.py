@@ -3,13 +3,13 @@ and the pre-train / imprint / fine-tune pipeline with per-epoch metrics."""
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import consistency, model, ssl_baselines
 from .data import SplitSet, SyntheticTaskSpec, generate_task, split_labeled
-from .errors import EmptyInput, InvalidInput, ShapeError
+from .errors import ConfigError, EmptyInput, InvalidInput, ShapeError
 from .model import Classifier, LinearHead, MlpExtractor, ModelPair, imprint
 
 METRICS_SCHEMA_VERSION = 1
@@ -108,60 +108,84 @@ def sample_batches(labeled: BatchSampler, unlabeled: BatchSampler):
 def total_loss(pair: ModelPair, x_l, y_l, x_u, weights: LossWeights,
                gate: consistency.GateConfig, buf_l, buf_u,
                ssl: ssl_baselines.SslConfig, rng=None, akc_mode="mse",
-               akc_batch_weights=None, teacher=None, use_akc=True,
+               source=None, teacher=None, use_akc=True,
                use_arc=True, arc_sigmas=None):
     """Composite objective: L_CE + lambda_S L_S + lambda_K R_K + lambda_R R_R.
+
+    Runs the target extractor once over the rows the active terms read
+    ([x_l; x_u] and, for mean teacher, the noisy student view of x_u),
+    sums the terms' gradients w.r.t. logits and features, and backpropagates
+    once. `source` is (frozen source features, AKC gate weights) of the rows
+    [x_l; x_u]; when omitted both are computed from `pair.source`.
 
     Returns (scalar, grads dict over target params, breakdown dict). The
     breakdown records each raw term value and the gate selected fractions;
     the scalar equals the weighted sum of the terms.
     """
     x_l = np.asarray(x_l, dtype=np.float64)
-    if x_l.shape[0] == 0:
+    n_l, n_u = x_l.shape[0], x_u.shape[0]
+    if n_l == 0:
         raise EmptyInput("labeled batch must be non-empty")
     target = pair.target
-    value, grads = ssl_baselines.cross_entropy_loss(target, x_l, y_l)
+    use_ssl = ssl.method != "none" and weights.lambda_s > 0 and n_u > 0
+    use_arc = use_arc and n_u > 0
+    use_pl = use_ssl and ssl.method == "pseudo_label"
+    rows = [x_l, x_u] if n_u > 0 and (use_akc or use_arc or use_pl) else [x_l]
+    n_lu = sum(r.shape[0] for r in rows)
+    if use_ssl and ssl.method == "mean_teacher":
+        x_s, x_t = ssl_baselines.noisy_views(x_u, ssl.noise_std, rng)
+        rows.append(x_s)
+    acts = target.extractor.activations(np.vstack(rows))
+    feats = acts[-1]
+    logits = target.head.forward(feats)
+
+    value, d_ce = ssl_baselines.cross_entropy_loss(logits[:n_l], y_l)
+    d_logits = np.zeros_like(logits)
+    d_logits[:n_l] = d_ce
+    d_feats = np.zeros_like(feats) if use_akc or use_arc else None
     breakdown = {
         "ce": value, "ssl": 0.0, "akc": 0.0, "arc": 0.0,
         "akc_fraction": 0.0, "arc_labeled_fraction": 0.0,
         "arc_unlabeled_fraction": 0.0,
     }
 
-    def accumulate(term_grads, lam):
-        for k, g in term_grads.items():
-            grads[k] += lam * g
-
-    if ssl.method != "none" and weights.lambda_s > 0 and x_u.shape[0] > 0:
-        if ssl.method == "pseudo_label":
-            v_s, g_s = ssl_baselines.pseudo_label_loss(target, x_u, ssl.pl_confidence)
+    if use_ssl:
+        # the last n_u rows: x_u for pseudo-label, the student view for
+        # mean teacher
+        z_u = logits[-n_u:]
+        if use_pl:
+            v_s, d_s = ssl_baselines.pseudo_label_loss(z_u, ssl.pl_confidence)
         else:
-            v_s, g_s = ssl_baselines.mean_teacher_loss(
-                target, teacher, x_u, ssl.noise_std, rng
-            )
+            v_s, d_s = ssl_baselines.mean_teacher_loss(z_u, teacher.forward(x_t))
         breakdown["ssl"] = v_s
         value += weights.lambda_s * v_s
-        accumulate(g_s, weights.lambda_s)
+        d_logits[-n_u:] += weights.lambda_s * d_s
 
     if use_akc:
-        x_all = np.vstack([x_l, x_u]) if x_u.shape[0] else x_l
-        v_k, g_k, frac_k = consistency.akc_loss(
-            pair, x_all, gate.eps_k, mode=akc_mode, weights=akc_batch_weights
-        )
+        if source is None:
+            x_all = np.vstack(rows[:2])  # [x_l; x_u]
+            source = (pair.source.extractor.forward(x_all),
+                      consistency.akc_weights(pair.source, x_all, gate.eps_k))
+        f0, akc_w = source
+        v_k, d_k, frac_k = consistency.akc_loss(feats[:n_lu], f0, akc_w, akc_mode)
         breakdown["akc"] = v_k
         breakdown["akc_fraction"] = frac_k
         value += weights.lambda_k * v_k
-        accumulate(g_k, weights.lambda_k)
+        d_feats[:n_lu] += weights.lambda_k * d_k
 
-    if use_arc and x_u.shape[0] > 0:
-        v_r, g_r, frac_rl, frac_ru = consistency.arc_loss(
-            pair, x_l, x_u, gate.eps_r, buf_l, buf_u, sigmas=arc_sigmas
+    if use_arc:
+        v_r, (d_rl, d_ru), frac_rl, frac_ru = consistency.arc_loss(
+            feats[:n_l], feats[n_l:n_lu], logits[:n_l], logits[n_l:n_lu],
+            gate.eps_r, buf_l, buf_u, sigmas=arc_sigmas,
         )
         breakdown["arc"] = v_r
         breakdown["arc_labeled_fraction"] = frac_rl
         breakdown["arc_unlabeled_fraction"] = frac_ru
         value += weights.lambda_r * v_r
-        accumulate(g_r, weights.lambda_r)
+        d_feats[:n_l] += weights.lambda_r * d_rl
+        d_feats[n_l:n_lu] += weights.lambda_r * d_ru
 
+    grads = target.backward(acts, d_logits, d_feats)
     return float(value), grads, breakdown
 
 
@@ -214,8 +238,11 @@ def train_supervised(classifier: Classifier, x, y, epochs: int, batch_size: int,
     sampler = BatchSampler(n, min(batch_size, n), rng)
     for _ in range(epochs * steps_per_epoch):
         idx = sampler.next()
-        _, grads = ssl_baselines.cross_entropy_loss(classifier, x[idx], y[idx])
-        opt.step(classifier.params(), grads)
+        acts = classifier.extractor.activations(x[idx])
+        _, d_logits = ssl_baselines.cross_entropy_loss(
+            classifier.head.forward(acts[-1]), y[idx]
+        )
+        opt.step(classifier.params(), classifier.backward(acts, d_logits))
     return classifier
 
 
@@ -233,7 +260,10 @@ def run_pipeline(cfg) -> RunResult:
     head, then fine-tune with the composite loss. Deterministic per seed."""
     from .config import ExperimentConfig  # deferred: config imports this module
 
-    assert isinstance(cfg, ExperimentConfig)
+    if not isinstance(cfg, ExperimentConfig):
+        raise ConfigError(
+            f"run_pipeline needs an ExperimentConfig, got {type(cfg).__name__}"
+        )
     cfg.validate()
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(6)
@@ -264,9 +294,8 @@ def run_pipeline(cfg) -> RunResult:
     tgt_ext = src.extractor.copy()
     tgt_head = LinearHead(c_t, cfg.feature_dim, rng_init_tgt)
     if cfg.imprint_head:
-        feats = tgt_ext.forward(target_set.labeled_x)
-        imprint(tgt_head, feats, target_set.labeled_y)
-        tgt_ext._cache = None
+        imprint(tgt_head, tgt_ext.forward(target_set.labeled_x),
+                target_set.labeled_y)
     target_model = Classifier(tgt_ext, tgt_head)
     pair = ModelPair(source=src, target=target_model)
 
@@ -277,18 +306,14 @@ def run_pipeline(cfg) -> RunResult:
     pool_x = target_set.all_train_x()
     n_l = target_set.labeled_x.shape[0]
     pool_akc_w = consistency.akc_weights(pair.source, pool_x, gate.eps_k)
+    pool_f0 = pair.source.extractor.forward(pool_x)  # the source is frozen
     akc_pool_fraction = float(pool_akc_w.mean())
 
     buf_l = consistency.ReplayBuffer(cfg.buffer_capacity, cfg.buffer_k)
     buf_u = consistency.ReplayBuffer(cfg.buffer_capacity, cfg.buffer_k)
 
     ssl = cfg.ssl_config()
-    noise_std = ssl.noise_std * float(pool_x.std(axis=0).mean())
-    ssl = ssl_baselines.SslConfig(
-        method=ssl.method, lambda_s=ssl.lambda_s,
-        pl_confidence=ssl.pl_confidence, ema_alpha=ssl.ema_alpha,
-        noise_std=noise_std,
-    )
+    ssl = replace(ssl, noise_std=ssl.noise_std * float(pool_x.std(axis=0).mean()))
     teacher = target_model.copy() if ssl.method == "mean_teacher" else None
 
     metrics = MetricsLog()
@@ -329,13 +354,11 @@ def run_pipeline(cfg) -> RunResult:
             idx_l, idx_u = sample_batches(sampler_l, sampler_u)
             x_l, y_l = target_set.labeled_x[idx_l], target_set.labeled_y[idx_l]
             x_u = pool_x[idx_u]
-            akc_w = np.concatenate(
-                [pool_akc_w[idx_l], pool_akc_w[idx_u]]
-            )
+            idx_lu = np.concatenate([idx_l, idx_u])
             _, grads, bd = total_loss(
                 pair, x_l, y_l, x_u, weights, gate, buf_l, buf_u, ssl,
                 rng=rng_noise, akc_mode=cfg.akc_mode,
-                akc_batch_weights=akc_w, teacher=teacher,
+                source=(pool_f0[idx_lu], pool_akc_w[idx_lu]), teacher=teacher,
                 use_akc=cfg.use_akc, use_arc=cfg.use_arc,
             )
             opt.step(target_model.params(), grads)

@@ -32,6 +32,19 @@ def assert_grads_match(params, grads, loss_fn, picks=3, rel=1e-4, abs_tol=1e-7,
         )
 
 
+def term_grads(model, x, term):
+    """Value and parameter gradients of a loss term written on features and
+    logits, run as `total_loss` runs it: `activations`, then the term, then
+    `Classifier.backward`. `term(features, logits)` returns (value,
+    d_logits, d_features); either gradient may be None."""
+    acts = model.extractor.activations(x)
+    logits = model.head.forward(acts[-1])
+    value, d_logits, d_features = term(acts[-1], logits)
+    if d_logits is None:
+        d_logits = np.zeros_like(logits)
+    return value, model.backward(acts, d_logits, d_features)
+
+
 @pytest.fixture
 def small_pair():
     """Source/target pair on a 5-input, 3-feature net; target head 3 classes,

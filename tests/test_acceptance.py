@@ -39,7 +39,7 @@ from akcarc.training import (
     total_loss,
 )
 
-from conftest import assert_grads_match
+from conftest import assert_grads_match, term_grads
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -123,14 +123,23 @@ def test_criterion_2_gradient_suite():
     params = target.params()
     ext_params = {f"ext.{k}": v for k, v in tgt_ext.params().items()}
 
-    _, g = cross_entropy_loss(target, x_l, y_l)
-    assert_grads_match(params, g, lambda: cross_entropy_loss(target, x_l, y_l)[0],
+    def ce_term(y):
+        return lambda f, z: (*cross_entropy_loss(z, y), None)
+
+    _, g = term_grads(target, x_l, ce_term(y_l))
+    assert_grads_match(params, g, lambda: term_grads(target, x_l, ce_term(y_l))[0],
                        picks=2)
 
+    f0_u = pair.source.extractor.forward(x_u)
+    w_u = akc_weights(pair.source, x_u, np.log(10))
     for mode in ("mse", "kl"):
-        _, g, _ = akc_loss(pair, x_u, np.log(10), mode=mode)
+        def akc_term(f, z, mode=mode):
+            value, d_f, _ = akc_loss(f, f0_u, w_u, mode)
+            return value, None, d_f
+
+        _, g = term_grads(target, x_u, akc_term)
         assert_grads_match(
-            ext_params, g, lambda: akc_loss(pair, x_u, np.log(10), mode=mode)[0],
+            ext_params, g, lambda: term_grads(target, x_u, akc_term)[0],
             picks=2,
         )
 
@@ -141,20 +150,30 @@ def test_criterion_2_gradient_suite():
 
     def arc_call():
         bl, bu = copy.deepcopy(seed_l), copy.deepcopy(seed_u)
-        return arc_loss(pair, x_l, x_u, np.log(4), bl, bu, sigmas=sigmas)
 
-    _, g, _, _ = arc_call()
+        def arc_term(f, z):
+            value, (d_l, d_u), _, _ = arc_loss(f[:6], f[6:], z[:6], z[6:],
+                                               np.log(4), bl, bu, sigmas=sigmas)
+            return value, None, np.vstack([d_l, d_u])
+
+        return term_grads(target, np.vstack([x_l, x_u]), arc_term)
+
+    _, g = arc_call()
     assert_grads_match(ext_params, g, lambda: arc_call()[0], picks=2)
 
-    _, g = pseudo_label_loss(target, x_u, 0.0)
+    _, g = term_grads(target, x_u,
+                      lambda f, z: (*pseudo_label_loss(z, 0.0), None))
     labels = target.predict(x_u)
     assert_grads_match(params, g,
-                       lambda: cross_entropy_loss(target, x_u, labels)[0],
+                       lambda: term_grads(target, x_u, ce_term(labels))[0],
                        picks=2)
 
-    _, g = mean_teacher_loss(target, teacher, x_u, 0.0, None)
+    def mt_term(f, z):
+        return (*mean_teacher_loss(z, teacher.forward(x_u)), None)
+
+    _, g = term_grads(target, x_u, mt_term)
     assert_grads_match(
-        params, g, lambda: mean_teacher_loss(target, teacher, x_u, 0.0, None)[0],
+        params, g, lambda: term_grads(target, x_u, mt_term)[0],
         picks=2,
     )
 
@@ -187,13 +206,14 @@ def test_criterion_3_gate_boundaries():
 
     for _ in range(100):
         x = rng.normal(size=(int(rng.integers(2, 12)), 8)) * rng.uniform(0.5, 3)
-        v0, g0, f0 = akc_loss(pair, x, 0.0)
+        feats = pair.target.extractor.forward(x)
+        v0, g0, f0 = akc_loss(feats, pair.source.extractor.forward(x),
+                              akc_weights(source, x, 0.0))
         assert v0 == 0.0 and f0 == 0.0
-        assert all(np.all(g == 0) for g in g0.values())
+        assert np.all(g0 == 0)
         w_full = akc_weights(source, x, np.log(5))
         assert np.all(w_full == 1.0)
 
-        feats = pair.target.extractor.forward(x)
         preds = softmax_rows(pair.target.head.forward(feats))
         prev = set()
         for eps in sorted(rng.uniform(0, np.log(3), size=4)):
@@ -244,9 +264,15 @@ def test_criterion_4_replay_buffer():
 
     def call():
         bl, bu = copy.deepcopy(seed_l), copy.deepcopy(seed_u)
-        return arc_loss(pair, x_l, x_u, np.log(3), bl, bu, sigmas=sigmas)
 
-    _, grads, _, _ = call()
+        def arc_term(f, z):
+            value, (d_l, d_u), _, _ = arc_loss(f[:5], f[5:], z[:5], z[5:],
+                                               np.log(3), bl, bu, sigmas=sigmas)
+            return value, None, np.vstack([d_l, d_u])
+
+        return term_grads(pair.target, np.vstack([x_l, x_u]), arc_term)
+
+    _, grads = call()
     ext_params = {f"ext.{k}": v
                   for k, v in pair.target.extractor.params().items()}
     assert_grads_match(ext_params, grads, lambda: call()[0], picks=2)

@@ -102,6 +102,18 @@ class TestRunCommand:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "assignment",
+        ["epochs=1.5", "eta0=abc", "hidden_dims=[8,", "hidden_dims=8"],
+    )
+    def test_bad_override_value_is_a_config_error(self, tmp_path, capsys,
+                                                  assignment):
+        code = main(["run", "--out", str(tmp_path / "x"), "--set", assignment])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and assignment.partition("=")[0] in err
+        assert "Traceback" not in err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 

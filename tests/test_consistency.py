@@ -16,7 +16,48 @@ from akcarc.consistency import (
 )
 from akcarc.errors import EmptyInput, ShapeError
 
-from conftest import assert_grads_match
+from conftest import assert_grads_match, term_grads
+
+
+def akc_on(pair, x, eps_k, mode="mse", weights=None):
+    """akc_loss on the target and frozen source features of x."""
+    if weights is None:
+        weights = akc_weights(pair.source, x, eps_k)
+    return akc_loss(pair.target.extractor.forward(x),
+                    pair.source.extractor.forward(x), weights, mode)
+
+
+def akc_term(pair, x, eps_k, mode="mse", weights=None):
+    """The AKC term of the rows x, for `term_grads`."""
+    f0 = pair.source.extractor.forward(x)
+    w = akc_weights(pair.source, x, eps_k) if weights is None else weights
+
+    def term(features, logits):
+        value, d_f, _ = akc_loss(features, f0, w, mode)
+        return value, None, d_f
+
+    return term
+
+
+def arc_on(pair, x_l, x_u, eps_r, buf_l, buf_u, sigmas=None):
+    """arc_loss on the target features and logits of x_l and x_u."""
+    ext, head = pair.target.extractor, pair.target.head
+    f_l, f_u = ext.forward(x_l), ext.forward(x_u)
+    return arc_loss(f_l, f_u, head.forward(f_l), head.forward(f_u),
+                    eps_r, buf_l, buf_u, sigmas=sigmas)
+
+
+def arc_term(n_l, eps_r, buf_l, buf_u, sigmas=None):
+    """The ARC term of the stacked rows [x_l; x_u], for `term_grads`."""
+
+    def term(features, logits):
+        value, (d_l, d_u), _, _ = arc_loss(
+            features[:n_l], features[n_l:], logits[:n_l], logits[n_l:],
+            eps_r, buf_l, buf_u, sigmas=sigmas,
+        )
+        return value, None, np.vstack([d_l, d_u])
+
+    return term
 
 
 class TestGateConfig:
@@ -57,15 +98,15 @@ class TestAkcLoss:
         x_l, _, x_u = micro_batch
         pair = small_pair
         pair.target.extractor = pair.source.extractor.copy()
-        v, grads, _ = akc_loss(pair, np.vstack([x_l, x_u]), eps_k=np.log(4))
+        v, _, _ = akc_on(pair, np.vstack([x_l, x_u]), eps_k=np.log(4))
         assert v == pytest.approx(0.0, abs=1e-15)
 
     def test_all_gates_closed_zero(self, small_pair, micro_batch):
         x_l, _, x_u = micro_batch
-        v, grads, frac = akc_loss(small_pair, np.vstack([x_l, x_u]), eps_k=0.0)
+        v, d_f, frac = akc_on(small_pair, np.vstack([x_l, x_u]), eps_k=0.0)
         assert v == 0.0
         assert frac == 0.0
-        assert all(np.all(g == 0) for g in grads.values())
+        assert np.all(d_f == 0)
 
     def test_hand_denominator(self, small_pair):
         # two samples, divergences 0.4 (selected) and 0.6 (rejected): the
@@ -74,19 +115,23 @@ class TestAkcLoss:
         f0 = small_pair.source.extractor.forward(x)
         f = small_pair.target.extractor.forward(x)
         d = ((f - f0) ** 2).sum(axis=1)
-        v, _, frac = akc_loss(small_pair, x, eps_k=0.0, weights=[1.0, 0.0])
+        v, _, frac = akc_loss(f, f0, [1.0, 0.0])
         assert v == pytest.approx(d[0] / 2, abs=1e-12)
         assert frac == 0.5
 
     def test_empty_batch_rejected(self, small_pair):
         with pytest.raises(EmptyInput):
-            akc_loss(small_pair, np.zeros((0, 5)), eps_k=1.0)
+            akc_loss(np.zeros((0, 3)), np.zeros((0, 3)), [])
+
+    def test_source_features_must_match(self):
+        with pytest.raises(ShapeError):
+            akc_loss(np.zeros((2, 3)), np.zeros((3, 3)), [1.0, 1.0])
 
     def test_selected_fraction_statistic(self, small_pair):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(16, 5))
         w = akc_weights(small_pair.source, x, 0.8)
-        _, _, frac = akc_loss(small_pair, x, eps_k=0.8)
+        _, _, frac = akc_on(small_pair, x, eps_k=0.8)
         assert frac == pytest.approx(w.sum() / 16)
         assert 0.0 <= frac <= 1.0
 
@@ -96,24 +141,27 @@ class TestAkcLoss:
         x = np.vstack([x_l, x_u])
         w = akc_weights(small_pair.source, x, 1.2)
         assert 0 < w.sum() < len(w) or w.sum() > 0
-        v, grads, _ = akc_loss(small_pair, x, eps_k=1.2, mode=mode, weights=w)
+        term = akc_term(small_pair, x, 1.2, mode=mode, weights=w)
+        v, grads = term_grads(small_pair.target, x, term)
         ext_params = {
             f"ext.{k}": p for k, p in small_pair.target.extractor.params().items()
         }
         assert_grads_match(
             ext_params, grads,
-            lambda: akc_loss(small_pair, x, eps_k=1.2, mode=mode, weights=w)[0],
+            lambda: term_grads(small_pair.target, x, term)[0],
         )
 
     def test_head_receives_no_gradient(self, small_pair, micro_batch):
         x_l, _, _ = micro_batch
-        _, grads, _ = akc_loss(small_pair, x_l, eps_k=np.log(4))
-        assert not any(k.startswith("head.") for k in grads)
+        term = akc_term(small_pair, x_l, np.log(4))
+        _, grads = term_grads(small_pair.target, x_l, term)
+        assert any(np.any(g != 0) for k, g in grads.items() if k.startswith("ext."))
+        assert all(np.all(g == 0) for k, g in grads.items() if k.startswith("head."))
 
     def test_source_not_mutated(self, small_pair, micro_batch):
         x_l, _, _ = micro_batch
         before = small_pair.source_hash()
-        akc_loss(small_pair, x_l, eps_k=np.log(4))
+        term_grads(small_pair.target, x_l, akc_term(small_pair, x_l, np.log(4)))
         assert small_pair.source_hash() == before
 
 
@@ -219,7 +267,7 @@ class TestArcLoss:
     def test_identical_selected_sets_zero(self, small_pair):
         x = np.random.default_rng(9).normal(size=(6, 5))
         buf_l, buf_u = fresh_buffers()
-        v, grads, fl, fu = arc_loss(
+        v, _, fl, fu = arc_on(
             small_pair, x, x.copy(), np.log(3), buf_l, buf_u
         )
         assert v == pytest.approx(0.0, abs=1e-12)
@@ -227,9 +275,9 @@ class TestArcLoss:
     def test_empty_selection_skips(self, small_pair, micro_batch):
         x_l, _, x_u = micro_batch
         buf_l, buf_u = fresh_buffers()
-        v, grads, fl, fu = arc_loss(small_pair, x_l, x_u, 0.0, buf_l, buf_u)
+        v, d_fs, fl, fu = arc_on(small_pair, x_l, x_u, 0.0, buf_l, buf_u)
         assert v == 0.0 and fl == 0.0 and fu == 0.0
-        assert all(np.all(g == 0) for g in grads.values())
+        assert all(np.all(d == 0) for d in d_fs)
 
     def test_matches_mmd_oracle_on_buffered_sets(self, small_pair):
         rng = np.random.default_rng(10)
@@ -238,12 +286,12 @@ class TestArcLoss:
         # on the fetched sets
         warm_l = rng.normal(size=(5, 5)) + 2.0
         warm_u = rng.normal(size=(5, 5)) - 2.0
-        arc_loss(small_pair, warm_l, warm_u, np.log(3), buf_l, buf_u)
+        arc_on(small_pair, warm_l, warm_u, np.log(3), buf_l, buf_u)
         x_l = rng.normal(size=(4, 5))
         x_u = rng.normal(size=(4, 5))
         snap_l, snap_u = copy.deepcopy(buf_l), copy.deepcopy(buf_u)
         sigmas = [0.9, 2.1]
-        v, _, _, _ = arc_loss(
+        v, _, _, _ = arc_on(
             small_pair, x_l, x_u, np.log(3), buf_l, buf_u, sigmas=sigmas
         )
         star_l = buffer_update_and_fetch(
@@ -258,28 +306,26 @@ class TestArcLoss:
         x_l, _, x_u = micro_batch
         rng = np.random.default_rng(11)
         buf_l, buf_u = fresh_buffers()
-        arc_loss(
+        arc_on(
             small_pair, rng.normal(size=(5, 5)), rng.normal(size=(5, 5)),
             np.log(3), buf_l, buf_u,
         )
         sigmas = [1.0, 2.0]
         eps = np.log(3)  # select everything: gate flips cannot perturb the fd
+        x = np.vstack([x_l, x_u])
 
-        def value(bl=buf_l, bu=buf_u):
-            return arc_loss(
-                small_pair, x_l, x_u, eps,
-                copy.deepcopy(bl), copy.deepcopy(bu), sigmas=sigmas,
-            )[0]
+        def call():
+            term = arc_term(len(x_l), eps, copy.deepcopy(buf_l),
+                            copy.deepcopy(buf_u), sigmas=sigmas)
+            return term_grads(small_pair.target, x, term)
 
-        v, grads, _, _ = arc_loss(
-            small_pair, x_l, x_u, eps,
-            copy.deepcopy(buf_l), copy.deepcopy(buf_u), sigmas=sigmas,
-        )
+        v, grads = call()
         assert v > 0
         ext_params = {
             f"ext.{k}": p for k, p in small_pair.target.extractor.params().items()
         }
-        assert_grads_match(ext_params, grads, value, rel=1e-4, abs_tol=1e-8)
+        assert_grads_match(ext_params, grads, lambda: call()[0], rel=1e-4,
+                           abs_tol=1e-8)
 
     def test_buffered_rows_carry_no_gradient(self, small_pair):
         # a parameter perturbation must influence the loss only through the
@@ -289,21 +335,23 @@ class TestArcLoss:
         x_l = rng.normal(size=(4, 5))
         x_u = rng.normal(size=(4, 5))
         buf_l, buf_u = fresh_buffers()
-        arc_loss(small_pair, rng.normal(size=(6, 5)), rng.normal(size=(6, 5)),
-                 np.log(3), buf_l, buf_u)
+        arc_on(small_pair, rng.normal(size=(6, 5)), rng.normal(size=(6, 5)),
+               np.log(3), buf_l, buf_u)
         sigmas = [1.5]
-        _, grads, _, _ = arc_loss(
-            small_pair, x_l, x_u, np.log(3),
-            copy.deepcopy(buf_l), copy.deepcopy(buf_u), sigmas=sigmas,
-        )
+        x = np.vstack([x_l, x_u])
+
+        def call():
+            term = arc_term(len(x_l), np.log(3), copy.deepcopy(buf_l),
+                            copy.deepcopy(buf_u), sigmas=sigmas)
+            return term_grads(small_pair.target, x, term)
+
+        _, grads = call()
         w = small_pair.target.extractor.weights[0]
         h = 1e-5
         w[0, 0] += h
-        hi = arc_loss(small_pair, x_l, x_u, np.log(3),
-                      copy.deepcopy(buf_l), copy.deepcopy(buf_u), sigmas=sigmas)[0]
+        hi = call()[0]
         w[0, 0] -= 2 * h
-        lo = arc_loss(small_pair, x_l, x_u, np.log(3),
-                      copy.deepcopy(buf_l), copy.deepcopy(buf_u), sigmas=sigmas)[0]
+        lo = call()[0]
         w[0, 0] += h
         fd = (hi - lo) / (2 * h)
         assert grads["ext.W0"][0, 0] == pytest.approx(fd, rel=1e-4, abs=1e-8)
@@ -314,7 +362,6 @@ def arc_loss_selected(pair, x, eps):
     from akcarc.numerics import softmax_rows
 
     f = pair.target.extractor.forward(x)
-    pair.target.extractor._cache = None
     p = softmax_rows(pair.target.head.forward(f))
     idx, rows = arc_select(f, p, eps)
     return rows

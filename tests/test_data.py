@@ -10,6 +10,7 @@ from akcarc.data import (
     save_csv,
     split_labeled,
 )
+from akcarc.config import ExperimentConfig
 from akcarc.errors import ConfigError, InvalidSplit, ParseError
 from akcarc.model import Classifier, LinearHead, MlpExtractor
 from akcarc.training import train_supervised, accuracy
@@ -156,6 +157,24 @@ class TestCsv:
         loaded = load_csv(p)
         assert loaded.label_map == {10: 0, 30: 1}
         assert loaded.labeled_y.tolist() == [0, 1, 0]
+
+    def test_test_file_reuses_training_label_map(self, tmp_path):
+        train, test, src = (tmp_path / n for n in ("train.csv", "test.csv", "src.csv"))
+        train.write_text("f0,label\n1.0,1\n2.0,3\n3.0,5\n")
+        test.write_text("f0,label\n1.0,3\n2.0,5\n3.0,3\n")
+        src.write_text("f0,label\n1.0,0\n2.0,1\n")
+        cfg = ExperimentConfig(source_train_csv=str(src),
+                               target_train_csv=str(train),
+                               target_test_csv=str(test))
+        _, target = cfg.load_data()
+        assert set(target.labeled_y.tolist()) == {0, 1, 2}
+        assert target.test_y.tolist() == [1, 2, 1]
+
+    def test_test_label_outside_training_labels_rejected(self, tmp_path):
+        p = tmp_path / "test.csv"
+        p.write_text("f0,label\n1.0,3\n2.0,4\n")
+        with pytest.raises(ParseError, match=r"test\.csv:3:2: label 4"):
+            load_csv(p, label_map={1: 0, 3: 1, 5: 2})
 
     def test_missing_label_column(self, tmp_path):
         p = tmp_path / "d.csv"

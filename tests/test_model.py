@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from akcarc.errors import MissingClassError, ShapeError, StateError
+from akcarc.errors import MissingClassError, ShapeError
 from akcarc.model import (
     Classifier,
     LinearHead,
@@ -14,7 +14,7 @@ from akcarc.model import (
 )
 from akcarc.ssl_baselines import cross_entropy_loss
 
-from conftest import assert_grads_match
+from conftest import assert_grads_match, term_grads
 
 
 def loop_forward(ext, x):
@@ -56,6 +56,15 @@ class TestForward:
         with pytest.raises(ShapeError):
             MlpExtractor([3, 2]).forward(np.zeros((2, 4)))
 
+    def test_activations_end_in_features(self):
+        rng = np.random.default_rng(12)
+        ext = MlpExtractor([4, 6, 5, 3], rng)
+        x = rng.normal(size=(3, 4))
+        acts = ext.activations(x)
+        assert [a.shape[1] for a in acts] == ext.dims
+        np.testing.assert_array_equal(acts[0], x)
+        np.testing.assert_array_equal(acts[-1], ext.forward(x))
+
 
 class TestHead:
     def test_zero_features_gives_bias(self):
@@ -83,15 +92,15 @@ class TestHead:
         np.testing.assert_allclose(head.forward(f), expect, atol=1e-12)
 
 
-class TestBackward:
-    def test_requires_forward(self):
-        with pytest.raises(StateError):
-            MlpExtractor([3, 2]).backward(np.zeros((1, 2)))
+def ce_term(y):
+    return lambda features, logits: (*cross_entropy_loss(logits, y), None)
 
+
+class TestBackward:
     def test_zero_upstream_zero_grads(self):
         ext = MlpExtractor([3, 4, 2], np.random.default_rng(4))
-        ext.forward(np.random.default_rng(5).normal(size=(3, 3)))
-        grads = ext.backward(np.zeros((3, 2)))
+        acts = ext.activations(np.random.default_rng(5).normal(size=(3, 3)))
+        grads = ext.backward(acts, np.zeros((3, 2)))
         assert all(np.all(g == 0) for g in grads.values())
 
     def test_cross_entropy_gradient_finite_differences(self):
@@ -99,16 +108,16 @@ class TestBackward:
         model = Classifier(MlpExtractor([5, 8, 4], rng), LinearHead(3, 4, rng))
         x = rng.normal(size=(6, 5))
         y = rng.integers(0, 3, size=6)
-        _, grads = cross_entropy_loss(model, x, y)
+        _, grads = term_grads(model, x, ce_term(y))
         assert_grads_match(
-            model.params(), grads, lambda: cross_entropy_loss(model, x, y)[0]
+            model.params(), grads, lambda: term_grads(model, x, ce_term(y))[0]
         )
 
     def test_source_frozen_during_loss(self, small_pair, micro_batch):
         x_l, y_l, _ = micro_batch
         before = small_pair.source_hash()
         for _ in range(3):
-            _, grads = cross_entropy_loss(small_pair.target, x_l, y_l)
+            _, grads = term_grads(small_pair.target, x_l, ce_term(y_l))
             for k, p in small_pair.target.params().items():
                 p -= 0.01 * grads[k]
         assert small_pair.source_hash() == before

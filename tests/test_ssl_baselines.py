@@ -8,16 +8,21 @@ from akcarc.ssl_baselines import (
     SslConfig,
     cross_entropy_loss,
     mean_teacher_loss,
+    noisy_views,
     pseudo_label_loss,
     zero_grads,
 )
 
-from conftest import assert_grads_match
+from conftest import assert_grads_match, term_grads
 
 
 def make_model(seed=0):
     rng = np.random.default_rng(seed)
     return Classifier(MlpExtractor([5, 8, 3], rng), LinearHead(3, 3, rng))
+
+
+def pl_term(pl_confidence):
+    return lambda features, logits: (*pseudo_label_loss(logits, pl_confidence), None)
 
 
 class TestSslConfig:
@@ -36,7 +41,7 @@ class TestCrossEntropy:
         model = make_model()
         for p in model.params().values():
             p[...] = 0.0
-        v, _ = cross_entropy_loss(model, np.ones((4, 5)), [0, 1, 2, 0])
+        v, _ = cross_entropy_loss(model.forward(np.ones((4, 5))), [0, 1, 2, 0])
         assert v == pytest.approx(np.log(3.0), abs=1e-12)
 
     def test_hand_computed_two_examples(self):
@@ -45,16 +50,16 @@ class TestCrossEntropy:
         y = np.array([1, 2])
         probs = softmax_rows(model.head.forward(model.extractor.forward(x)))
         expect = -(np.log(probs[0, 1]) + np.log(probs[1, 2])) / 2
-        v, _ = cross_entropy_loss(model, x, y)
+        v, _ = cross_entropy_loss(model.forward(x), y)
         assert v == pytest.approx(expect, abs=1e-12)
 
     def test_bad_label_rejected(self):
         with pytest.raises(InvalidLabel):
-            cross_entropy_loss(make_model(), np.ones((2, 5)), [0, 3])
+            cross_entropy_loss(make_model().forward(np.ones((2, 5))), [0, 3])
 
     def test_empty_batch(self):
         with pytest.raises(EmptyInput):
-            cross_entropy_loss(make_model(), np.zeros((0, 5)), [])
+            cross_entropy_loss(np.zeros((0, 3)), [])
 
 
 class TestPseudoLabel:
@@ -64,7 +69,7 @@ class TestPseudoLabel:
         for p in model.params().values():
             p *= 1e-3
         x = np.random.default_rng(4).normal(size=(8, 5))
-        v, grads = pseudo_label_loss(model, x, 0.95)
+        v, grads = term_grads(model, x, pl_term(0.95))
         assert v == 0.0
         assert all(np.all(g == 0) for g in grads.values())
 
@@ -73,7 +78,7 @@ class TestPseudoLabel:
         x = np.random.default_rng(6).normal(size=(6, 5))
         probs = softmax_rows(model.forward(x))
         expect = float(-np.log(probs.max(axis=1)).mean())
-        v, _ = pseudo_label_loss(model, x, 0.0)
+        v, _ = pseudo_label_loss(model.forward(x), 0.0)
         assert v == pytest.approx(expect, abs=1e-12)
 
     def test_matches_ce_on_argmax_labels(self):
@@ -81,10 +86,11 @@ class TestPseudoLabel:
         model = make_model(7)
         x = np.random.default_rng(8).normal(size=(5, 5))
         labels = model.predict(x)
-        v_pl, g_pl = pseudo_label_loss(model, x, 0.0)
-        v_ce, _ = cross_entropy_loss(model, x, labels)
+        v_pl, d_pl = pseudo_label_loss(model.forward(x), 0.0)
+        v_ce, d_ce = cross_entropy_loss(model.forward(x), labels)
         assert v_pl == pytest.approx(v_ce, abs=1e-12)
-        assert any(np.any(g != 0) for g in g_pl.values())
+        np.testing.assert_allclose(d_pl, d_ce, atol=1e-15)
+        assert np.any(d_pl != 0)
 
     def test_gradient_finite_differences(self):
         # pseudo-labels are constants: FD must hold the accepted set and
@@ -92,12 +98,12 @@ class TestPseudoLabel:
         model = make_model(9)
         rng = np.random.default_rng(10)
         x = rng.normal(size=(6, 5)) * 2.0
-        v, grads = pseudo_label_loss(model, x, 0.0)
+        v, grads = term_grads(model, x, pl_term(0.0))
         probs = softmax_rows(model.forward(x))
         labels = probs.argmax(axis=1)
         assert_grads_match(
             model.params(), grads,
-            lambda: cross_entropy_loss(model, x, labels)[0],
+            lambda: cross_entropy_loss(model.forward(x), labels)[0],
         )
 
     def test_partial_acceptance_averages_over_accepted(self):
@@ -109,7 +115,7 @@ class TestPseudoLabel:
         acc = maxima >= conf
         assert 0 < acc.sum() < 20
         expect = float(-np.log(probs.max(axis=1)[acc]).mean())
-        v, _ = pseudo_label_loss(model, x, conf)
+        v, _ = pseudo_label_loss(model.forward(x), conf)
         assert v == pytest.approx(expect, abs=1e-12)
 
 
@@ -130,12 +136,23 @@ class FixedRng:
         self.i = 0
 
 
+def mt_call(student, teacher, x, noise_std, rng):
+    """Mean teacher as `total_loss` runs it: noisy views, the student
+    forward, the teacher forward, the term, then the student backward."""
+    x_s, x_t = noisy_views(x, noise_std, rng)
+    logits_t = teacher.forward(x_t)
+    return term_grads(
+        student, x_s,
+        lambda features, logits: (*mean_teacher_loss(logits, logits_t), None),
+    )
+
+
 class TestMeanTeacher:
     def test_identical_models_no_noise_zero(self):
         student = make_model(13)
         teacher = student.copy()
         x = np.random.default_rng(14).normal(size=(4, 5))
-        v, grads = mean_teacher_loss(student, teacher, x, 0.0, None)
+        v, grads = mt_call(student, teacher, x, 0.0, None)
         assert v == pytest.approx(0.0, abs=1e-15)
         # value is exactly 0 at the minimum of a squared penalty
         for g in grads.values():
@@ -148,7 +165,7 @@ class TestMeanTeacher:
         p_s = softmax_rows(student.forward(x))
         p_t = softmax_rows(teacher.forward(x))
         expect = float(((p_s - p_t) ** 2).mean())
-        v, _ = mean_teacher_loss(student, teacher, x, 0.0, None)
+        v, _ = mean_teacher_loss(student.forward(x), teacher.forward(x))
         assert v == pytest.approx(expect, abs=1e-12)
 
     def test_gradient_finite_differences_with_noise(self):
@@ -158,20 +175,30 @@ class TestMeanTeacher:
         base = np.random.default_rng(21)
         draws = [base.normal(size=(4, 5)), base.normal(size=(4, 5))]
         rng = FixedRng(draws)
-        v, grads = mean_teacher_loss(student, teacher, x, 0.1, rng)
+        v, grads = mt_call(student, teacher, x, 0.1, rng)
 
         def loss():
             rng.reset()
-            return mean_teacher_loss(student, teacher, x, 0.1, rng)[0]
+            return mt_call(student, teacher, x, 0.1, rng)[0]
 
         assert_grads_match(student.params(), grads, loss)
+
+    def test_noise_draws_student_then_teacher(self):
+        x = np.random.default_rng(26).normal(size=(3, 5))
+        draws = [np.full((3, 5), 1.0), np.full((3, 5), 2.0)]
+        x_s, x_t = noisy_views(x, 0.5, FixedRng(draws))
+        np.testing.assert_array_equal(x_s, x + 0.5)
+        np.testing.assert_array_equal(x_t, x + 1.0)
+        x_s, x_t = noisy_views(x, 0.0, None)  # no noise, no draw
+        np.testing.assert_array_equal(x_s, x)
+        np.testing.assert_array_equal(x_t, x)
 
     def test_teacher_gets_no_gradient(self):
         student = make_model(22)
         teacher = make_model(23)
         x = np.random.default_rng(24).normal(size=(4, 5))
         before = {k: v.copy() for k, v in teacher.params().items()}
-        mean_teacher_loss(student, teacher, x, 0.0, None)
+        mt_call(student, teacher, x, 0.0, None)
         for k, v in teacher.params().items():
             assert np.array_equal(v, before[k])
 

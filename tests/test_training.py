@@ -5,7 +5,8 @@ import pytest
 
 from akcarc.config import ExperimentConfig
 from akcarc.consistency import GateConfig, ReplayBuffer
-from akcarc.errors import InvalidInput
+from akcarc import training
+from akcarc.errors import ConfigError, InvalidInput
 from akcarc.model import Classifier, LinearHead, MlpExtractor
 from akcarc.ssl_baselines import SslConfig, cross_entropy_loss
 from akcarc.training import (
@@ -20,7 +21,7 @@ from akcarc.training import (
     total_loss,
 )
 
-from conftest import assert_grads_match
+from conftest import assert_grads_match, term_grads
 
 
 class TestCosineLr:
@@ -135,7 +136,10 @@ class TestTotalLoss:
             ReplayBuffer(), ReplayBuffer(), SslConfig(method="none"),
             use_akc=False, use_arc=False,
         )
-        v_ce, g_ce = cross_entropy_loss(small_pair.target, x_l, y_l)
+        v_ce, g_ce = term_grads(
+            small_pair.target, x_l,
+            lambda features, logits: (*cross_entropy_loss(logits, y_l), None),
+        )
         assert value == pytest.approx(v_ce, abs=1e-12)
         for k in g_ce:
             np.testing.assert_allclose(grads[k], g_ce[k], atol=1e-15)
@@ -261,6 +265,49 @@ class TestRunPipeline:
         # the pair's source copy must equal the pre-trained source model
         for k, v in res.source_model.params().items():
             assert np.array_equal(v, res.pair.source.params()[k])
+
+    def test_rejects_a_config_that_is_not_an_experiment_config(self):
+        with pytest.raises(ConfigError, match="ExperimentConfig"):
+            run_pipeline(tiny_config().to_dict())
+
+    @pytest.mark.parametrize(
+        "method", ["akc+arc", "pseudo_label+akc", "mean_teacher"]
+    )
+    def test_one_backward_per_step_and_no_source_calls(self, monkeypatch, method):
+        calls = []  # (method name, id of the extractor) inside the open step
+
+        def counting(name):
+            inner = getattr(MlpExtractor, name)
+
+            def wrapper(self, *args):
+                calls.append((name, id(self)))
+                return inner(self, *args)
+
+            return wrapper
+
+        for name in ("activations", "forward", "backward"):
+            monkeypatch.setattr(MlpExtractor, name, counting(name))
+        inner_step = training.total_loss
+        steps = []
+
+        def step(pair, *args, **kwargs):
+            calls.clear()
+            out = inner_step(pair, *args, **kwargs)
+            tgt, src = id(pair.target.extractor), id(pair.source.extractor)
+            steps.append((
+                calls.count(("backward", tgt)),
+                calls.count(("activations", tgt)),
+                sum(1 for _, who in calls if who == src),
+            ))
+            return out
+
+        monkeypatch.setattr(training, "total_loss", step)
+        run_pipeline(tiny_config(method=method, epochs=2))
+        assert steps
+        for n_backward, n_activations, n_source in steps:
+            assert n_backward == 1
+            assert n_activations <= 1
+            assert n_source == 0
 
     def test_epoch_zero_accuracy_is_imprint_accuracy(self):
         res = run_pipeline(tiny_config(method="supervised", epochs=0))
