@@ -10,8 +10,8 @@ representation sets, stabilized by replay buffers of recent selections.
 
 import numpy as np
 
+from akcarc.config import ExperimentConfig
 from akcarc.consistency import (
-    GateConfig,
     ReplayBuffer,
     akc_loss,
     akc_weights,
@@ -31,16 +31,17 @@ for w in tgt_ext.weights:
 pair = ModelPair(source=source, target=Classifier(tgt_ext, LinearHead(3, 6, rng)))
 
 x = rng.normal(size=(12, 8))
-gate = GateConfig.default(n_source_classes=5, n_target_classes=3)
-print(f"gates: eps_k = 0.7 ln 5 = {gate.eps_k:.3f} nats, "
-      f"eps_r = 0.7 ln 3 = {gate.eps_r:.3f} nats")
+cfg = ExperimentConfig()  # the gate thresholds are scales of ln C
+eps_k, eps_r = cfg.eps_k(5), cfg.eps_r(3)
+print(f"gates: eps_k = 0.7 ln 5 = {eps_k:.3f} nats, "
+      f"eps_r = 0.7 ln 3 = {eps_r:.3f} nats")
 
 # --- AKC -------------------------------------------------------------
 # Each loss is a function of features: it returns its value and its
 # gradient w.r.t. those features. The frozen source is evaluated once.
 probs = softmax_rows(source.forward(x))
 ents = entropy_rows(probs)
-w = akc_weights(source, x, gate.eps_k)
+w = akc_weights(source, x, eps_k)
 f0 = source.extractor.forward(x)
 print(f"\nsource prediction entropies: {np.round(ents, 2).tolist()}")
 print(f"AKC gate weights:            {w.astype(int).tolist()}")

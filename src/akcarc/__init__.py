@@ -9,20 +9,20 @@ and pseudo-label / mean-teacher baselines.
 """
 
 from .config import ExperimentConfig
-from .consistency import GateConfig, ReplayBuffer, akc_loss, arc_loss
+from .consistency import ReplayBuffer, akc_loss, arc_loss
 from .data import SplitSet, SyntheticTaskSpec, generate_task, split_labeled
 from .model import Classifier, LinearHead, MlpExtractor, ModelPair, imprint
 from .numerics import entropy, kl_div, mmd2, rbf_kernel, softmax
-from .ssl_baselines import SslConfig, cross_entropy_loss
-from .training import LossWeights, MetricsLog, cosine_lr, run_pipeline, total_loss
+from .ssl_baselines import cross_entropy_loss
+from .training import MetricsLog, cosine_lr, run_pipeline, total_loss
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExperimentConfig", "GateConfig", "ReplayBuffer", "akc_loss", "arc_loss",
+    "ExperimentConfig", "ReplayBuffer", "akc_loss", "arc_loss",
     "SplitSet", "SyntheticTaskSpec", "generate_task", "split_labeled",
     "Classifier", "LinearHead", "MlpExtractor", "ModelPair", "imprint",
     "entropy", "kl_div", "mmd2", "rbf_kernel", "softmax",
-    "SslConfig", "cross_entropy_loss",
-    "LossWeights", "MetricsLog", "cosine_lr", "run_pipeline", "total_loss",
+    "cross_entropy_loss",
+    "MetricsLog", "cosine_lr", "run_pipeline", "total_loss",
 ]

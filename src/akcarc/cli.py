@@ -72,6 +72,17 @@ def _accuracies(out_dir):
     return last, best
 
 
+def _axis_values(cfg: ExperimentConfig, field: str, text: str) -> list:
+    """Comma-separated grid values of `field`, coerced as `--set` coerces."""
+    return [getattr(cfg.with_overrides([f"{field}={v}"]), field)
+            for v in text.split(",")]
+
+
+def _check_seeds(seeds: int):
+    if seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {seeds}")
+
+
 def cmd_run(args) -> int:
     cfg = _load_config(args)
     cfg.validate()
@@ -88,9 +99,9 @@ def cmd_sweep(args) -> int:
     cfg.validate()
     if args.axis not in SWEEP_AXES:
         raise ConfigError(f"axis must be one of {sorted(SWEEP_AXES)}")
+    _check_seeds(args.seeds)
     field = SWEEP_AXES[args.axis]
-    values = [float(v) if args.axis != "n_labeled" else int(float(v))
-              for v in args.values.split(",")]
+    values = _axis_values(cfg, field, args.values)
     root = cfg.out_dir or cfg.default_out_dir()
     os.makedirs(root, exist_ok=True)
     base_seed = cfg.seed
@@ -131,7 +142,8 @@ def cmd_sweep(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
     cfg.validate()
-    n_values = ([int(v) for v in args.n_labeled.split(",")]
+    _check_seeds(args.seeds)
+    n_values = (_axis_values(cfg, "n_labeled", args.n_labeled)
                 if args.n_labeled else [cfg.n_labeled])
     root = cfg.out_dir or cfg.default_out_dir()
     os.makedirs(root, exist_ok=True)

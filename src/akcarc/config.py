@@ -6,10 +6,10 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .data import SyntheticTaskSpec, generate_task, load_csv
 from .errors import ConfigError
-from .ssl_baselines import SslConfig
-from .training import LossWeights
 
 METHOD_TOKENS = ("supervised", "akc", "arc", "pseudo_label", "mean_teacher")
 OUT_ROOT_ENV = "AKCARC_OUT"
@@ -73,23 +73,26 @@ class ExperimentConfig:
             raise ConfigError("method: at most one SSL baseline may be combined")
         return ssl[0] if ssl else "none"
 
-    def ssl_config(self) -> SslConfig:
-        return SslConfig(
-            method=self.ssl_method(), pl_confidence=self.pl_confidence,
-            ema_alpha=self.ema_alpha, noise_std=self.noise_std,
-        )
+    # ------------------------------------------------------------- gates
 
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(self.lambda_k, self.lambda_r, self.lambda_s).validate()
+    def eps_k(self, n_source_classes: int) -> float:
+        """AKC entropy threshold in nats: eps_k_scale * ln C_source."""
+        return self.eps_k_scale * np.log(n_source_classes)
+
+    def eps_r(self, n_target_classes: int) -> float:
+        """ARC entropy threshold in nats: eps_r_scale * ln C_target."""
+        return self.eps_r_scale * np.log(n_target_classes)
 
     # ------------------------------------------------------------ validation
 
     def validate(self) -> "ExperimentConfig":
         self.method_parts()
         self.ssl_method()
-        self.loss_weights()
         checks = [
             ("n_labeled", self.n_labeled >= 2),
+            ("lambda_k", self.lambda_k >= 0),
+            ("lambda_r", self.lambda_r >= 0),
+            ("lambda_s", self.lambda_s >= 0),
             ("eps_k_scale", 0 <= self.eps_k_scale <= 1),
             ("eps_r_scale", 0 <= self.eps_r_scale <= 1),
             ("akc_mode", self.akc_mode in ("mse", "kl")),

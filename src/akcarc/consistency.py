@@ -9,8 +9,6 @@ representation distributions of confidently predicted labeled and
 unlabeled examples, stabilized by replay buffers of recent selections.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import EmptyInput, ShapeError
@@ -25,22 +23,6 @@ from .numerics import (
     softmax_backward,
     softmax_rows,
 )
-
-
-@dataclass
-class GateConfig:
-    """Entropy thresholds in nats for AKC (eps_k) and ARC (eps_r)."""
-
-    eps_k: float
-    eps_r: float
-
-    @classmethod
-    def default(cls, n_source_classes: int, n_target_classes: int) -> "GateConfig":
-        # 0.7 * max-entropy per stream
-        return cls(
-            eps_k=0.7 * np.log(n_source_classes),
-            eps_r=0.7 * np.log(n_target_classes),
-        )
 
 
 def akc_gate(p_source, eps_k: float) -> int:
@@ -97,7 +79,8 @@ class ReplayBuffer:
     """Bounded FIFO of detached representation rows.
 
     `update` appends copies (evicting oldest beyond capacity);
-    `get_last_k` returns the newest min(k, len) rows, oldest first.
+    `get_last_k` returns the newest min(k, len) rows, oldest first, as a
+    view of the stored rows that callers must not write to.
     """
 
     def __init__(self, capacity: int = 256, k: int = 256):
@@ -105,31 +88,26 @@ class ReplayBuffer:
             raise ValueError("capacity and k must be >= 1")
         self.capacity = capacity
         self.k = k
-        self.entries = []  # (row, push index)
-        self._pushes = 0
+        self.rows = np.zeros((0, 0))  # (n, dim), oldest first
 
     def __len__(self):
-        return len(self.entries)
+        return self.rows.shape[0]
 
     @property
     def dim(self):
-        return self.entries[0][0].shape[0] if self.entries else None
+        return self.rows.shape[1] if len(self) else None
 
     def update(self, rows):
-        rows = as_tensor2(rows) if np.size(rows) else np.zeros((0, self.dim or 0))
-        if self.entries and rows.shape[0] and rows.shape[1] != self.dim:
+        if not np.size(rows):
+            return
+        rows = as_tensor2(rows)
+        if len(self) and rows.shape[1] != self.dim:
             raise ShapeError(f"row dim {rows.shape[1]} != buffer dim {self.dim}")
-        for r in rows:
-            self.entries.append((r.copy(), self._pushes))
-            self._pushes += 1
-        if len(self.entries) > self.capacity:
-            del self.entries[: len(self.entries) - self.capacity]
+        kept = self.rows if len(self) else rows[:0]
+        self.rows = np.concatenate([kept, rows])[-self.capacity:]
 
     def get_last_k(self) -> np.ndarray:
-        take = self.entries[-self.k :]
-        if not take:
-            return np.zeros((0, self.dim or 0))
-        return np.stack([r for r, _ in take])
+        return self.rows[-self.k:]
 
 
 def buffer_update_and_fetch(buf: ReplayBuffer, new_rows) -> np.ndarray:

@@ -3,35 +3,10 @@ pseudo-labeling and mean teacher. Each is a function of logits returning
 (value, dL/dlogits); `Classifier.backward` turns that into parameter
 gradients."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import EmptyInput, InvalidLabel
 from .numerics import LOG_CLAMP, as_tensor2, softmax_backward, softmax_rows
-
-
-@dataclass
-class SslConfig:
-    """Which unlabeled-data loss to add, and its knobs.
-
-    noise_std is the absolute std of the additive Gaussian input
-    perturbation used by mean teacher (vector-data stand-in for image
-    augmentation).
-    """
-
-    method: str = "none"  # none | pseudo_label | mean_teacher
-    pl_confidence: float = 0.95
-    ema_alpha: float = 0.999
-    noise_std: float = 0.1
-
-    def __post_init__(self):
-        if self.method not in ("none", "pseudo_label", "mean_teacher"):
-            raise ValueError(f"unknown ssl method {self.method!r}")
-
-
-def zero_grads(model) -> dict:
-    return {k: np.zeros_like(v) for k, v in model.params().items()}
 
 
 def cross_entropy_loss(logits, y):

@@ -3,12 +3,13 @@ and the pre-train / imprint / fine-tune pipeline with per-epoch metrics."""
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import consistency, model, ssl_baselines
-from .data import SplitSet, SyntheticTaskSpec, generate_task, split_labeled
+from .config import ExperimentConfig
+from .data import SplitSet, split_labeled
 from .errors import ConfigError, EmptyInput, InvalidInput, ShapeError
 from .model import Classifier, LinearHead, MlpExtractor, ModelPair, imprint
 
@@ -18,18 +19,6 @@ METRICS_COLUMNS = [
     "akc_fraction", "arc_labeled_fraction", "arc_unlabeled_fraction",
     "train_acc", "test_acc",
 ]
-
-
-@dataclass
-class LossWeights:
-    lambda_k: float = 1.0
-    lambda_r: float = 30.0
-    lambda_s: float = 1.0
-
-    def validate(self):
-        if min(self.lambda_k, self.lambda_r, self.lambda_s) < 0:
-            raise InvalidInput("loss weights must be >= 0")
-        return self
 
 
 def cosine_lr(t: int, total_steps: int, eta0: float) -> float:
@@ -105,18 +94,19 @@ def sample_batches(labeled: BatchSampler, unlabeled: BatchSampler):
     return labeled.next(), unlabeled.next()
 
 
-def total_loss(pair: ModelPair, x_l, y_l, x_u, weights: LossWeights,
-               gate: consistency.GateConfig, buf_l, buf_u,
-               ssl: ssl_baselines.SslConfig, rng=None, akc_mode="mse",
-               source=None, teacher=None, use_akc=True,
-               use_arc=True, arc_sigmas=None):
+def total_loss(pair: ModelPair, x_l, y_l, x_u, cfg: ExperimentConfig,
+               buf_l, buf_u, rng=None, source=None, teacher=None,
+               arc_sigmas=None):
     """Composite objective: L_CE + lambda_S L_S + lambda_K R_K + lambda_R R_R.
 
-    Runs the target extractor once over the rows the active terms read
-    ([x_l; x_u] and, for mean teacher, the noisy student view of x_u),
-    sums the terms' gradients w.r.t. logits and features, and backpropagates
-    once. `source` is (frozen source features, AKC gate weights) of the rows
-    [x_l; x_u]; when omitted both are computed from `pair.source`.
+    The active terms, their weights, the AKC mode, the pseudo-label
+    confidence and the gate thresholds are read from `cfg`. Runs the target
+    extractor once over the rows the active terms read ([x_l; x_u] and, for
+    mean teacher, the noisy student view of x_u), sums the terms' gradients
+    w.r.t. logits and features, and backpropagates once. `source` is (frozen
+    source features, AKC gate weights) of the rows [x_l; x_u]; when omitted
+    both are computed from `pair.source`. `teacher` is (EMA teacher model,
+    absolute input-noise std) for mean teacher.
 
     Returns (scalar, grads dict over target params, breakdown dict). The
     breakdown records each raw term value and the gate selected fractions;
@@ -127,13 +117,16 @@ def total_loss(pair: ModelPair, x_l, y_l, x_u, weights: LossWeights,
     if n_l == 0:
         raise EmptyInput("labeled batch must be non-empty")
     target = pair.target
-    use_ssl = ssl.method != "none" and weights.lambda_s > 0 and n_u > 0
-    use_arc = use_arc and n_u > 0
-    use_pl = use_ssl and ssl.method == "pseudo_label"
+    ssl = cfg.ssl_method()
+    use_akc = cfg.use_akc
+    use_arc = cfg.use_arc and n_u > 0
+    use_ssl = ssl != "none" and cfg.lambda_s > 0 and n_u > 0
+    use_pl = use_ssl and ssl == "pseudo_label"
     rows = [x_l, x_u] if n_u > 0 and (use_akc or use_arc or use_pl) else [x_l]
     n_lu = sum(r.shape[0] for r in rows)
-    if use_ssl and ssl.method == "mean_teacher":
-        x_s, x_t = ssl_baselines.noisy_views(x_u, ssl.noise_std, rng)
+    if use_ssl and ssl == "mean_teacher":
+        teacher_model, noise_std = teacher
+        x_s, x_t = ssl_baselines.noisy_views(x_u, noise_std, rng)
         rows.append(x_s)
     acts = target.extractor.activations(np.vstack(rows))
     feats = acts[-1]
@@ -154,36 +147,37 @@ def total_loss(pair: ModelPair, x_l, y_l, x_u, weights: LossWeights,
         # mean teacher
         z_u = logits[-n_u:]
         if use_pl:
-            v_s, d_s = ssl_baselines.pseudo_label_loss(z_u, ssl.pl_confidence)
+            v_s, d_s = ssl_baselines.pseudo_label_loss(z_u, cfg.pl_confidence)
         else:
-            v_s, d_s = ssl_baselines.mean_teacher_loss(z_u, teacher.forward(x_t))
+            v_s, d_s = ssl_baselines.mean_teacher_loss(z_u, teacher_model.forward(x_t))
         breakdown["ssl"] = v_s
-        value += weights.lambda_s * v_s
-        d_logits[-n_u:] += weights.lambda_s * d_s
+        value += cfg.lambda_s * v_s
+        d_logits[-n_u:] += cfg.lambda_s * d_s
 
     if use_akc:
         if source is None:
             x_all = np.vstack(rows[:2])  # [x_l; x_u]
+            eps_k = cfg.eps_k(pair.source.head.n_classes)
             source = (pair.source.extractor.forward(x_all),
-                      consistency.akc_weights(pair.source, x_all, gate.eps_k))
+                      consistency.akc_weights(pair.source, x_all, eps_k))
         f0, akc_w = source
-        v_k, d_k, frac_k = consistency.akc_loss(feats[:n_lu], f0, akc_w, akc_mode)
+        v_k, d_k, frac_k = consistency.akc_loss(feats[:n_lu], f0, akc_w, cfg.akc_mode)
         breakdown["akc"] = v_k
         breakdown["akc_fraction"] = frac_k
-        value += weights.lambda_k * v_k
-        d_feats[:n_lu] += weights.lambda_k * d_k
+        value += cfg.lambda_k * v_k
+        d_feats[:n_lu] += cfg.lambda_k * d_k
 
     if use_arc:
         v_r, (d_rl, d_ru), frac_rl, frac_ru = consistency.arc_loss(
             feats[:n_l], feats[n_l:n_lu], logits[:n_l], logits[n_l:n_lu],
-            gate.eps_r, buf_l, buf_u, sigmas=arc_sigmas,
+            cfg.eps_r(target.head.n_classes), buf_l, buf_u, sigmas=arc_sigmas,
         )
         breakdown["arc"] = v_r
         breakdown["arc_labeled_fraction"] = frac_rl
         breakdown["arc_unlabeled_fraction"] = frac_ru
-        value += weights.lambda_r * v_r
-        d_feats[:n_l] += weights.lambda_r * d_rl
-        d_feats[n_l:n_lu] += weights.lambda_r * d_ru
+        value += cfg.lambda_r * v_r
+        d_feats[:n_l] += cfg.lambda_r * d_rl
+        d_feats[n_l:n_lu] += cfg.lambda_r * d_ru
 
     grads = target.backward(acts, d_logits, d_feats)
     return float(value), grads, breakdown
@@ -258,8 +252,6 @@ class RunResult:
 def run_pipeline(cfg) -> RunResult:
     """Pre-train on the source task, copy and freeze, imprint the target
     head, then fine-tune with the composite loss. Deterministic per seed."""
-    from .config import ExperimentConfig  # deferred: config imports this module
-
     if not isinstance(cfg, ExperimentConfig):
         raise ConfigError(
             f"run_pipeline needs an ExperimentConfig, got {type(cfg).__name__}"
@@ -299,22 +291,20 @@ def run_pipeline(cfg) -> RunResult:
     target_model = Classifier(tgt_ext, tgt_head)
     pair = ModelPair(source=src, target=target_model)
 
-    gate = consistency.GateConfig(
-        eps_k=cfg.eps_k_scale * np.log(c_s),
-        eps_r=cfg.eps_r_scale * np.log(c_t),
-    )
     pool_x = target_set.all_train_x()
     n_l = target_set.labeled_x.shape[0]
-    pool_akc_w = consistency.akc_weights(pair.source, pool_x, gate.eps_k)
+    pool_akc_w = consistency.akc_weights(pair.source, pool_x, cfg.eps_k(c_s))
     pool_f0 = pair.source.extractor.forward(pool_x)  # the source is frozen
     akc_pool_fraction = float(pool_akc_w.mean())
 
     buf_l = consistency.ReplayBuffer(cfg.buffer_capacity, cfg.buffer_k)
     buf_u = consistency.ReplayBuffer(cfg.buffer_capacity, cfg.buffer_k)
 
-    ssl = cfg.ssl_config()
-    ssl = replace(ssl, noise_std=ssl.noise_std * float(pool_x.std(axis=0).mean()))
-    teacher = target_model.copy() if ssl.method == "mean_teacher" else None
+    teacher = None
+    if cfg.ssl_method() == "mean_teacher":
+        # cfg.noise_std is relative to the pool's mean per-feature std
+        teacher = (target_model.copy(),
+                   cfg.noise_std * float(pool_x.std(axis=0).mean()))
 
     metrics = MetricsLog()
 
@@ -345,7 +335,6 @@ def run_pipeline(cfg) -> RunResult:
     opt = SgdMomentum(target_model.params(), cfg.eta0, total_steps)
     sampler_l = BatchSampler(n_l, min(cfg.batch_labeled, max(n_l, 1)), rng_train)
     sampler_u = BatchSampler(pool_x.shape[0], cfg.batch_unlabeled, rng_train)
-    weights = cfg.loss_weights()
 
     for epoch in range(1, cfg.epochs + 1):
         sums = dict(zero_sums)
@@ -356,15 +345,13 @@ def run_pipeline(cfg) -> RunResult:
             x_u = pool_x[idx_u]
             idx_lu = np.concatenate([idx_l, idx_u])
             _, grads, bd = total_loss(
-                pair, x_l, y_l, x_u, weights, gate, buf_l, buf_u, ssl,
-                rng=rng_noise, akc_mode=cfg.akc_mode,
+                pair, x_l, y_l, x_u, cfg, buf_l, buf_u, rng=rng_noise,
                 source=(pool_f0[idx_lu], pool_akc_w[idx_lu]), teacher=teacher,
-                use_akc=cfg.use_akc, use_arc=cfg.use_arc,
             )
             opt.step(target_model.params(), grads)
             if teacher is not None:
-                model.ema_update(teacher.params(), target_model.params(),
-                                 ssl.ema_alpha)
+                model.ema_update(teacher[0].params(), target_model.params(),
+                                 cfg.ema_alpha)
             for k in sums:
                 sums[k] += bd[k]
         log_epoch(epoch, lr_at_epoch_start, sums, steps_per_epoch)

@@ -11,12 +11,10 @@ import copy
 import time
 
 import numpy as np
-import pytest
 
 from akcarc.cli import execute_run
 from akcarc.config import ExperimentConfig
 from akcarc.consistency import (
-    GateConfig,
     ReplayBuffer,
     akc_loss,
     akc_weights,
@@ -26,13 +24,11 @@ from akcarc.consistency import (
 from akcarc.model import Classifier, LinearHead, MlpExtractor, ModelPair
 from akcarc.numerics import mmd2, median_sigmas, rbf_kernel, softmax_rows
 from akcarc.ssl_baselines import (
-    SslConfig,
     cross_entropy_loss,
     mean_teacher_loss,
     pseudo_label_loss,
 )
 from akcarc.training import (
-    LossWeights,
     SgdMomentum,
     cosine_lr,
     run_pipeline,
@@ -177,14 +173,15 @@ def test_criterion_2_gradient_suite():
         picks=2,
     )
 
-    gate = GateConfig(eps_k=np.log(10), eps_r=np.log(4))
-    weights = LossWeights(lambda_k=1.0, lambda_r=3.0, lambda_s=0.5)
+    # scale 1.0 gives the thresholds ln 10 (source) and ln 4 (target)
+    cfg = ExperimentConfig(
+        method="pseudo_label+akc+arc", lambda_k=1.0, lambda_r=3.0,
+        lambda_s=0.5, eps_k_scale=1.0, eps_r_scale=1.0, pl_confidence=0.0,
+    )
 
     def composite():
         bl, bu = copy.deepcopy(seed_l), copy.deepcopy(seed_u)
-        return total_loss(pair, x_l, y_l, x_u, weights, gate, bl, bu,
-                          SslConfig(method="pseudo_label", pl_confidence=0.0),
-                          arc_sigmas=sigmas)
+        return total_loss(pair, x_l, y_l, x_u, cfg, bl, bu, arc_sigmas=sigmas)
 
     _, g, _ = composite()
     assert_grads_match(params, g, lambda: composite()[0], picks=2)

@@ -32,6 +32,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(method="pseudo_label+mean_teacher").validate()
 
+    def test_gate_thresholds_are_scaled_max_entropy(self):
+        cfg = ExperimentConfig()
+        assert cfg.eps_k(10) == pytest.approx(0.7 * np.log(10))
+        assert cfg.eps_r(4) == pytest.approx(0.7 * np.log(4))
+        cfg = ExperimentConfig(eps_k_scale=1.0, eps_r_scale=0.0)
+        assert cfg.eps_k(5) == np.log(5)
+        assert cfg.eps_r(3) == 0.0
+
     def test_invalid_fields_named(self):
         cfg = ExperimentConfig(eps_k_scale=2.0, eta0=-1.0)
         with pytest.raises(ConfigError, match="eps_k_scale"):
@@ -104,7 +112,8 @@ class TestRunCommand:
 
     @pytest.mark.parametrize(
         "assignment",
-        ["epochs=1.5", "eta0=abc", "hidden_dims=[8,", "hidden_dims=8"],
+        ["epochs=1.5", "eta0=abc", "hidden_dims=[8,", "hidden_dims=8",
+         "lambda_r=-1"],
     )
     def test_bad_override_value_is_a_config_error(self, tmp_path, capsys,
                                                   assignment):
@@ -171,3 +180,21 @@ class TestCompareCommand:
         methods = [l.split(",")[0] for l in lines[1:]]
         assert "supervised" in methods and "akc+arc" in methods
         assert len(methods) == 7
+
+
+class TestGridArguments:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--axis", "eps_r", "--values", "0.3,abc", "--seeds", "1"],
+        ["sweep", "--axis", "n_labeled", "--values", "8.0", "--seeds", "1"],
+        ["sweep", "--axis", "eps_r", "--values", "0.3", "--seeds", "0"],
+        ["compare", "--n-labeled", "x", "--seeds", "1"],
+        ["compare", "--seeds", "0"],
+    ], ids=["sweep-value-abc", "sweep-n_labeled-8.0", "sweep-seeds-0",
+            "compare-n_labeled-x", "compare-seeds-0"])
+    def test_bad_grid_argument_is_a_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "grid"
+        code = main(argv + ["--out", str(out)] + TINY)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and "Traceback" not in err
+        assert not out.exists()  # rejected before any sub-run

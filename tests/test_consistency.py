@@ -5,7 +5,6 @@ import pytest
 
 from akcarc import numerics
 from akcarc.consistency import (
-    GateConfig,
     ReplayBuffer,
     akc_gate,
     akc_loss,
@@ -58,13 +57,6 @@ def arc_term(n_l, eps_r, buf_l, buf_u, sigmas=None):
         return value, None, np.vstack([d_l, d_u])
 
     return term
-
-
-class TestGateConfig:
-    def test_defaults_are_seventy_percent_of_max_entropy(self):
-        gate = GateConfig.default(10, 4)
-        assert gate.eps_k == pytest.approx(0.7 * np.log(10))
-        assert gate.eps_r == pytest.approx(0.7 * np.log(4))
 
 
 class TestAkcGate:

@@ -5,12 +5,10 @@ from akcarc.errors import EmptyInput, InvalidLabel
 from akcarc.model import Classifier, LinearHead, MlpExtractor, ema_update
 from akcarc.numerics import softmax_rows
 from akcarc.ssl_baselines import (
-    SslConfig,
     cross_entropy_loss,
     mean_teacher_loss,
     noisy_views,
     pseudo_label_loss,
-    zero_grads,
 )
 
 from conftest import assert_grads_match, term_grads
@@ -23,16 +21,6 @@ def make_model(seed=0):
 
 def pl_term(pl_confidence):
     return lambda features, logits: (*pseudo_label_loss(logits, pl_confidence), None)
-
-
-class TestSslConfig:
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            SslConfig(method="vat")
-
-    def test_known_methods(self):
-        for m in ("none", "pseudo_label", "mean_teacher"):
-            assert SslConfig(method=m).method == m
 
 
 class TestCrossEntropy:
@@ -214,11 +202,3 @@ class TestTeacherEma:
             expect = alpha * expect + (1 - alpha) * step_val
             assert t["w"][0, 0] == pytest.approx(expect, abs=1e-14)
 
-
-class TestZeroGrads:
-    def test_shapes_match_params(self):
-        model = make_model(25)
-        z = zero_grads(model)
-        assert set(z) == set(model.params())
-        for k, v in model.params().items():
-            assert z[k].shape == v.shape and np.all(z[k] == 0)

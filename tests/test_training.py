@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from akcarc.config import ExperimentConfig
-from akcarc.consistency import GateConfig, ReplayBuffer
+from akcarc.consistency import ReplayBuffer
 from akcarc import training
 from akcarc.errors import ConfigError, InvalidInput
 from akcarc.model import Classifier, LinearHead, MlpExtractor
-from akcarc.ssl_baselines import SslConfig, cross_entropy_loss
+from akcarc.ssl_baselines import cross_entropy_loss
 from akcarc.training import (
     METRICS_COLUMNS,
     BatchSampler,
-    LossWeights,
     MetricsLog,
     SgdMomentum,
     accuracy,
@@ -116,25 +115,25 @@ class TestTotalLoss:
         x_u = rng.normal(size=(8, 5))
         return x_l, y_l, x_u
 
+    @staticmethod
+    def loss_cfg(**over):
+        # scale 1.0 gives the thresholds ln 4 (source) and ln 3 (target)
+        return ExperimentConfig(eps_k_scale=1.0, eps_r_scale=1.0, **over)
+
     def test_terms_add_up(self, small_pair):
         x_l, y_l, x_u = self.make_inputs()
-        gate = GateConfig(eps_k=np.log(4), eps_r=np.log(3))
-        w = LossWeights(lambda_k=2.0, lambda_r=5.0, lambda_s=1.0)
+        cfg = self.loss_cfg(method="akc+arc", lambda_k=2.0, lambda_r=5.0,
+                            lambda_s=1.0)
         buf_l, buf_u = ReplayBuffer(64, 64), ReplayBuffer(64, 64)
-        value, _, bd = total_loss(
-            small_pair, x_l, y_l, x_u, w, gate, buf_l, buf_u,
-            SslConfig(method="none"),
-        )
+        value, _, bd = total_loss(small_pair, x_l, y_l, x_u, cfg, buf_l, buf_u)
         expect = bd["ce"] + 2.0 * bd["akc"] + 5.0 * bd["arc"]
         assert value == pytest.approx(expect, abs=1e-12)
 
     def test_supervised_only_matches_ce(self, small_pair):
         x_l, y_l, x_u = self.make_inputs()
-        gate = GateConfig(eps_k=np.log(4), eps_r=np.log(3))
         value, grads, bd = total_loss(
-            small_pair, x_l, y_l, x_u, LossWeights(), gate,
-            ReplayBuffer(), ReplayBuffer(), SslConfig(method="none"),
-            use_akc=False, use_arc=False,
+            small_pair, x_l, y_l, x_u, self.loss_cfg(method="supervised"),
+            ReplayBuffer(), ReplayBuffer(),
         )
         v_ce, g_ce = term_grads(
             small_pair.target, x_l,
@@ -147,8 +146,8 @@ class TestTotalLoss:
     def test_composite_gradient_finite_differences(self, small_pair):
         # buffers and bandwidths must be held fixed across FD evaluations
         x_l, y_l, x_u = self.make_inputs()
-        gate = GateConfig(eps_k=np.log(4), eps_r=np.log(3))
-        w = LossWeights(lambda_k=1.0, lambda_r=3.0, lambda_s=0.0)
+        cfg = self.loss_cfg(method="akc+arc", lambda_k=1.0, lambda_r=3.0,
+                            lambda_s=0.0)
         seed_l, seed_u = ReplayBuffer(64, 64), ReplayBuffer(64, 64)
         rng = np.random.default_rng(31)
         seed_l.update(rng.normal(size=(5, 3)))
@@ -157,10 +156,8 @@ class TestTotalLoss:
 
         def call():
             bl, bu = copy.deepcopy(seed_l), copy.deepcopy(seed_u)
-            return total_loss(
-                small_pair, x_l, y_l, x_u, w, gate, bl, bu,
-                SslConfig(method="none"), arc_sigmas=sigmas,
-            )
+            return total_loss(small_pair, x_l, y_l, x_u, cfg, bl, bu,
+                              arc_sigmas=sigmas)
 
         _, grads, _ = call()
         assert_grads_match(
@@ -169,12 +166,10 @@ class TestTotalLoss:
 
     def test_pseudo_label_term_included(self, small_pair):
         x_l, y_l, x_u = self.make_inputs()
-        gate = GateConfig(eps_k=np.log(4), eps_r=np.log(3))
+        cfg = self.loss_cfg(method="pseudo_label", lambda_s=0.5,
+                            pl_confidence=0.0)
         value, _, bd = total_loss(
-            small_pair, x_l, y_l, x_u,
-            LossWeights(lambda_s=0.5), gate, ReplayBuffer(), ReplayBuffer(),
-            SslConfig(method="pseudo_label", pl_confidence=0.0),
-            use_akc=False, use_arc=False,
+            small_pair, x_l, y_l, x_u, cfg, ReplayBuffer(), ReplayBuffer(),
         )
         assert bd["ssl"] > 0
         assert value == pytest.approx(bd["ce"] + 0.5 * bd["ssl"], abs=1e-12)
