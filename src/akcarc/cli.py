@@ -73,9 +73,18 @@ def _accuracies(out_dir):
 
 
 def _axis_values(cfg: ExperimentConfig, field: str, text: str) -> list:
-    """Comma-separated grid values of `field`, coerced as `--set` coerces."""
-    return [getattr(cfg.with_overrides([f"{field}={v}"]), field)
-            for v in text.split(",")]
+    """Comma-separated grid values of `field`, coerced as `--set` coerces.
+
+    A value equal to an earlier one after coercion would rerun the same
+    sub-run into the same directory, so it is a config error.
+    """
+    values = []
+    for v in text.split(","):
+        value = getattr(cfg.with_overrides([f"{field}={v}"]), field)
+        if value in values:
+            raise ConfigError(f"{field}: grid value {v!r} repeats {value!r}")
+        values.append(value)
+    return values
 
 
 def _check_seeds(seeds: int):

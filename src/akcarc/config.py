@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import SyntheticTaskSpec, generate_task, load_csv
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 
 METHOD_TOKENS = ("supervised", "akc", "arc", "pseudo_label", "mean_teacher")
 OUT_ROOT_ENV = "AKCARC_OUT"
@@ -133,6 +133,14 @@ class ExperimentConfig:
         source = load_csv(self.source_train_csv)
         target = load_csv(self.target_train_csv)
         test = load_csv(self.target_test_csv, label_map=target.label_map)
+        want = source.labeled_x.shape[1]
+        for path, split in ((self.target_train_csv, target),
+                            (self.target_test_csv, test)):
+            if split.labeled_x.shape[1] != want:
+                raise ParseError(
+                    f"{path} has {split.labeled_x.shape[1]} features but "
+                    f"{self.source_train_csv} has {want}"
+                )
         target.test_x, target.test_y = test.labeled_x, test.labeled_y
         target.test_ids = test.labeled_ids + target.labeled_ids.size
         return source, target

@@ -11,7 +11,7 @@ unlabeled examples, stabilized by replay buffers of recent selections.
 
 import numpy as np
 
-from .errors import EmptyInput, ShapeError
+from .errors import EmptyInput, InvalidInput, ShapeError
 from .numerics import (
     LOG_CLAMP,
     as_tensor2,
@@ -20,6 +20,7 @@ from .numerics import (
     entropy_rows,
     median_sigmas,
     mmd2_value_grad,
+    pooled_sq_dists,
     softmax_backward,
     softmax_rows,
 )
@@ -71,7 +72,7 @@ def akc_loss(features, source_features, weights, mode: str = "mse"):
         d_q = np.where(q > LOG_CLAMP, -p0 / qc, 0.0)
         d_f = softmax_backward(q, d_q) * (w[:, None] / b)
     else:
-        raise ValueError(f"unknown AKC mode {mode!r}")
+        raise InvalidInput(f"unknown AKC mode {mode!r}")
     return value, d_f, frac
 
 
@@ -85,7 +86,7 @@ class ReplayBuffer:
 
     def __init__(self, capacity: int = 256, k: int = 256):
         if capacity < 1 or k < 1:
-            raise ValueError("capacity and k must be >= 1")
+            raise InvalidInput("capacity and k must be >= 1")
         self.capacity = capacity
         self.k = k
         self.rows = np.zeros((0, 0))  # (n, dim), oldest first
@@ -152,9 +153,10 @@ def arc_loss(f_l, f_u, logits_l, logits_u, eps_r, buf_l, buf_u, sigmas=None):
     if star_l.shape[0] < 2 or star_u.shape[0] < 2:
         return 0.0, (d_f_l, d_f_u), frac_l, frac_u
 
+    d2 = pooled_sq_dists(star_l, star_u)
     if sigmas is None:
-        sigmas = median_sigmas(star_l, star_u)
-    value, d_star_l, d_star_u = mmd2_value_grad(star_l, star_u, sigmas)
+        sigmas = median_sigmas(d2)
+    value, d_star_l, d_star_u = mmd2_value_grad(star_l, star_u, sigmas, d2)
 
     # current-batch rows are the newest pushes, i.e. the tail of the fetched
     # set; only they carry gradients back into the extractor

@@ -137,45 +137,70 @@ def mmd2(v, u, sigmas) -> float:
     return float(total)
 
 
-def mmd2_value_grad(v, u, sigmas):
+def pooled_sq_dists(v, u) -> np.ndarray:
+    """Squared distances among the pooled rows [v; u], a (m+n) x (m+n) matrix."""
+    v, u = _check_mmd_inputs(v, u)
+    pooled = np.vstack([v, u])
+    return _sq_dists(pooled, pooled)
+
+
+def mmd2_value_grad(v, u, sigmas, d2=None):
     """mmd2 together with its gradients w.r.t. every row of v and of u.
 
-    Sigmas are treated as constants (no gradient through a bandwidth
-    heuristic). Returns (value, dv, du) with dv, du shaped like v, u.
+    `d2` is `pooled_sq_dists(v, u)`, computed here when not given. Sigmas
+    are treated as constants (no gradient through a bandwidth heuristic).
+    Returns (value, dv, du) with dv, du shaped like v, u.
     """
     v, u = _check_mmd_inputs(v, u)
     m, n = v.shape[0], u.shape[0]
-    value = 0.0
-    dv = np.zeros_like(v)
-    du = np.zeros_like(u)
-    dvv, duu, dvu = _sq_dists(v, v), _sq_dists(u, u), _sq_dists(v, u)
-    for s in sigmas:
-        g = 1.0 / (2.0 * s * s)
-        kvv = np.exp(-g * dvv)
-        kuu = np.exp(-g * duu)
-        kvu = np.exp(-g * dvu)
-        value += kvv.mean() + kuu.mean() - 2.0 * kvu.mean()
-        # d k(x, y) / dx = k * (y - x) / sigma^2
-        c = 2.0 * g
-        # within-v term: (1/m^2) sum_ij k(v_i, v_j); both arguments vary.
-        dv += (2.0 * c / (m * m)) * (kvv @ v - kvv.sum(axis=1)[:, None] * v)
-        du += (2.0 * c / (n * n)) * (kuu @ u - kuu.sum(axis=1)[:, None] * u)
-        # cross term: -(2/(m n)) sum_ij k(v_i, u_j)
-        dv -= (2.0 * c / (m * n)) * (kvu @ u - kvu.sum(axis=1)[:, None] * v)
-        du -= (2.0 * c / (m * n)) * (kvu.T @ v - kvu.sum(axis=0)[:, None] * u)
+    if d2 is None:
+        d2 = pooled_sq_dists(v, u)
+    elif d2.shape != (m + n, m + n):
+        raise ShapeError(f"d2 is {d2.shape}, expected {(m + n, m + n)}")
+    # The gradient is linear in each kernel matrix: per block, sum c * K
+    # over the bandwidths first (d k(x, y) / dx = c * k * (y - x), with
+    # c = 1 / sigma^2), then multiply once.
+    blocks = (d2[:m, :m], d2[m:, m:], d2[:m, m:])
+    w = [np.zeros_like(b) for b in blocks]
+    means = np.zeros((len(sigmas), 3))
+    for j, blk in enumerate(blocks):
+        k = np.empty_like(blk)
+        for i, s in enumerate(sigmas):
+            g = 1.0 / (2.0 * s * s)
+            np.exp(np.multiply(blk, -g, out=k), out=k)
+            means[i, j] = k.mean()
+            k *= 2.0 * g
+            w[j] += k
+    value = sum(kvv + kuu - 2.0 * kvu for kvv, kuu, kvu in means)
+    wvv, wuu, wvu = w
+    # within-set terms (1/m^2) sum_ij k(v_i, v_j): both arguments vary;
+    # cross term -(2/(m n)) sum_ij k(v_i, u_j)
+    dv = (2.0 / (m * m)) * (wvv @ v - wvv.sum(axis=1)[:, None] * v)
+    dv -= (2.0 / (m * n)) * (wvu @ u - wvu.sum(axis=1)[:, None] * v)
+    du = (2.0 / (n * n)) * (wuu @ u - wuu.sum(axis=1)[:, None] * u)
+    du -= (2.0 / (m * n)) * (wvu.T @ v - wvu.sum(axis=0)[:, None] * u)
     return float(value), dv, du
 
 
-def median_sigmas(v, u, factors=(0.5, 1.0, 2.0)):
-    """Bandwidths from the median pairwise distance of the pooled rows.
+def median_sigmas(d2, factors=(0.5, 1.0, 2.0)):
+    """Bandwidths `factors` times the median pairwise distance, read from the
+    strict upper triangle of a squared-distance matrix (`pooled_sq_dists`).
 
-    Falls back to sigma = 1 when the median distance is zero.
+    Falls back to sigma = 1 when the median distance is zero. Equals
+    np.median(np.sqrt(pairs)) exactly: sqrt is monotone, so one partition of
+    the squared distances finds the middle pair.
     """
-    v, u = _check_mmd_inputs(v, u)
-    pooled = np.vstack([v, u])
-    d2 = _sq_dists(pooled, pooled)
-    iu = np.triu_indices(pooled.shape[0], k=1)
-    med = float(np.median(np.sqrt(d2[iu]))) if iu[0].size else 0.0
+    p = d2.shape[0]
+    if d2.shape != (p, p):
+        raise ShapeError(f"expected a square distance matrix, got {d2.shape}")
+    x = d2[~np.tri(p, p, 0, dtype=bool)]
+    med = 0.0
+    if x.size:
+        k = x.size // 2
+        x.partition(k)
+        med = float(np.sqrt(x[k]))
+        if x.size % 2 == 0:
+            med = (float(np.sqrt(x[:k].max())) + med) / 2.0
     if med <= 0.0:
         med = 1.0
     return [med * f for f in factors]

@@ -198,3 +198,16 @@ class TestGridArguments:
         assert code == 2
         assert "config error" in err and "Traceback" not in err
         assert not out.exists()  # rejected before any sub-run
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--axis", "eps_r", "--values", "0.7,0.70", "--seeds", "1"],
+        ["sweep", "--axis", "n_labeled", "--values", "8,12,08", "--seeds", "1"],
+        ["compare", "--n-labeled", "12,12", "--seeds", "1"],
+    ], ids=["sweep-eps_r-0.7-0.70", "sweep-n_labeled-8-08", "compare-12-12"])
+    def test_repeated_grid_value_is_a_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "grid"
+        code = main(argv + ["--out", str(out)] + TINY)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and "repeats" in err
+        assert not out.exists()  # rejected before any sub-run

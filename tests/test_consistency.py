@@ -13,7 +13,7 @@ from akcarc.consistency import (
     arc_select,
     buffer_update_and_fetch,
 )
-from akcarc.errors import EmptyInput, ShapeError
+from akcarc.errors import EmptyInput, InvalidInput, ShapeError
 
 from conftest import assert_grads_match, term_grads
 
@@ -119,6 +119,11 @@ class TestAkcLoss:
         with pytest.raises(ShapeError):
             akc_loss(np.zeros((2, 3)), np.zeros((3, 3)), [1.0, 1.0])
 
+    def test_unknown_mode_is_invalid_input(self):
+        f = np.ones((2, 3))
+        with pytest.raises(InvalidInput, match="bogus"):
+            akc_loss(f, f, [1.0, 1.0], "bogus")
+
     def test_selected_fraction_statistic(self, small_pair):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(16, 5))
@@ -202,6 +207,11 @@ class TestReplayBuffer:
         buf.update(rows)
         rows[...] = 99.0
         assert np.all(buf.get_last_k() == 1.0)
+
+    @pytest.mark.parametrize("capacity,k", [(0, 1), (1, 0)])
+    def test_size_below_one_is_invalid_input(self, capacity, k):
+        with pytest.raises(InvalidInput):
+            ReplayBuffer(capacity, k)
 
     def test_dim_mismatch(self):
         buf = ReplayBuffer(capacity=4, k=4)

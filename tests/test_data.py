@@ -170,6 +170,23 @@ class TestCsv:
         assert set(target.labeled_y.tolist()) == {0, 1, 2}
         assert target.test_y.tolist() == [1, 2, 1]
 
+    @pytest.mark.parametrize("wide", ["train", "test"])
+    def test_feature_count_mismatch_names_both_files(self, tmp_path, wide):
+        paths = {n: tmp_path / f"{n}.csv" for n in ("src", "train", "test")}
+        for name, p in paths.items():
+            if name == wide:
+                p.write_text("f0,f1,label\n1.0,0.5,0\n2.0,0.5,1\n")
+            else:
+                p.write_text("f0,label\n1.0,0\n2.0,1\n")
+        cfg = ExperimentConfig(source_train_csv=str(paths["src"]),
+                               target_train_csv=str(paths["train"]),
+                               target_test_csv=str(paths["test"]))
+        with pytest.raises(ParseError) as exc:
+            cfg.load_data()
+        msg = str(exc.value)
+        assert str(paths[wide]) in msg and str(paths["src"]) in msg
+        assert "2 features" in msg and "has 1" in msg
+
     def test_test_label_outside_training_labels_rejected(self, tmp_path):
         p = tmp_path / "test.csv"
         p.write_text("f0,label\n1.0,3\n2.0,4\n")

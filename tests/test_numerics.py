@@ -190,12 +190,73 @@ class TestMedianSigmas:
     def test_scales_with_median(self):
         v = np.array([[0.0], [0.0]])
         u = np.array([[2.0], [2.0]])
-        sig = numerics.median_sigmas(v, u)
+        sig = numerics.median_sigmas(numerics.pooled_sq_dists(v, u))
         assert sig == [1.0, 2.0, 4.0]
 
     def test_zero_median_fallback(self):
         v = np.zeros((3, 2))
-        assert numerics.median_sigmas(v, v.copy())[1] == 1.0
+        assert numerics.median_sigmas(numerics.pooled_sq_dists(v, v.copy()))[1] == 1.0
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 2), (256, 256)])
+    def test_equals_numpy_median_of_pair_distances(self, m, n):
+        # pairs among p = m + n rows: 1 and 3 (odd), 6, 10 and 130816 (even)
+        rng = np.random.default_rng(m * 100 + n)
+        v, u = rng.normal(size=(m, 5)), rng.normal(size=(n, 5))
+        d2 = numerics.pooled_sq_dists(v, u)
+        med = np.median(np.sqrt(d2[np.triu_indices(m + n, 1)]))
+        factors = (0.5, 1.0, 2.0)
+        assert numerics.median_sigmas(d2, factors) == [f * med for f in factors]
+
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(ShapeError):
+            numerics.median_sigmas(np.zeros((4, 2)))
+
+    def test_fallback_is_scaled_by_factors(self):
+        v = np.ones((2, 3))
+        d2 = numerics.pooled_sq_dists(v, v.copy())
+        assert numerics.median_sigmas(d2, (0.25, 3.0)) == [0.25, 3.0]
+
+
+class TestMmd2ValueGradPooled:
+    def test_given_distances_equal_computed_ones(self):
+        rng = np.random.default_rng(7)
+        v, u = rng.normal(size=(6, 4)), rng.normal(size=(9, 4))
+        sig = [0.7, 1.3, 2.9]
+        with_d2 = numerics.mmd2_value_grad(v, u, sig, numerics.pooled_sq_dists(v, u))
+        without = numerics.mmd2_value_grad(v, u, sig)
+        assert with_d2[0] == without[0]
+        np.testing.assert_array_equal(with_d2[1], without[1])
+        np.testing.assert_array_equal(with_d2[2], without[2])
+
+    def test_value_matches_mmd2(self):
+        rng = np.random.default_rng(8)
+        v, u = rng.normal(size=(5, 3)), rng.normal(size=(8, 3))
+        sig = [0.4, 1.0, 2.5]
+        value, _, _ = numerics.mmd2_value_grad(v, u, sig)
+        assert value == pytest.approx(numerics.mmd2(v, u, sig), abs=1e-12)
+
+    def test_wrong_distance_shape_rejected(self):
+        v, u = np.zeros((2, 2)), np.ones((3, 2))
+        with pytest.raises(ShapeError):
+            numerics.mmd2_value_grad(v, u, [1.0], np.zeros((4, 4)))
+
+    def test_gradient_three_unequal_bandwidths_finite_differences(self):
+        rng = np.random.default_rng(9)
+        h = 1e-5
+        sig = [0.6, 1.1, 2.3]
+        for _ in range(10):
+            v, u = rng.normal(size=(5, 3)), rng.normal(size=(4, 3))
+            _, dv, du = numerics.mmd2_value_grad(v, u, sig, numerics.pooled_sq_dists(v, u))
+            for arr, grad in ((v, dv), (u, du)):
+                for i in range(arr.shape[0]):
+                    for j in range(arr.shape[1]):
+                        arr[i, j] += h
+                        hi = numerics.mmd2(v, u, sig)
+                        arr[i, j] -= 2 * h
+                        lo = numerics.mmd2(v, u, sig)
+                        arr[i, j] += h
+                        fd = (hi - lo) / (2 * h)
+                        assert grad[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
 @settings(max_examples=50, deadline=None)
