@@ -58,38 +58,72 @@ def execute_run(cfg: ExperimentConfig, out_dir=None):
     return result, out_dir
 
 
-def read_run_metrics(out_dir):
-    """Reload the persisted per-epoch metrics of a finished run."""
-    with open(os.path.join(out_dir, "metrics.csv"), newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return rows
-
-
-def _accuracies(out_dir):
-    rows = read_run_metrics(out_dir)
-    last = float(rows[-1]["test_acc"])
-    best = max(float(r["test_acc"]) for r in rows)
-    return last, best
-
-
 def _axis_values(cfg: ExperimentConfig, field: str, text: str) -> list:
-    """Comma-separated grid values of `field`, coerced as `--set` coerces.
+    """Comma-separated grid values of `field`, coerced as `--set` coerces
+    and validated, so a bad value is a config error before any sub-run.
 
     A value equal to an earlier one after coercion would rerun the same
     sub-run into the same directory, so it is a config error.
     """
     values = []
     for v in text.split(","):
-        value = getattr(cfg.with_overrides([f"{field}={v}"]), field)
+        sub = cfg.with_overrides([f"{field}={v}"])
+        sub.validate()
+        value = getattr(sub, field)
         if value in values:
             raise ConfigError(f"{field}: grid value {v!r} repeats {value!r}")
         values.append(value)
     return values
 
 
-def _check_seeds(seeds: int):
+def _run_grid(cfg: ExperimentConfig, seeds: int, cells):
+    """Run each `(prefix, overrides)` cell once per seed into
+    `<root>/<prefix>_seed<seed>`, each sub-run's config naming its own
+    directory. A failed sub-run is named on stderr and the grid goes on.
+
+    Returns the grid root, the `(last, best)` test accuracies of each
+    cell's finished seeds, and whether any sub-run failed.
+    """
     if seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {seeds}")
+    root = cfg.default_out_dir()
+    os.makedirs(root, exist_ok=True)
+    accs, failed = [], False
+    for prefix, overrides in cells:
+        finished = []
+        for s in range(seeds):
+            sub = cfg.with_overrides(overrides)
+            sub.seed = cfg.seed + s
+            sub.out_dir = os.path.join(root, f"{prefix}_seed{sub.seed}")
+            try:
+                result, _ = execute_run(sub)
+            except AkcArcError as exc:
+                print(f"sub-run failed ({sub.out_dir}): {exc}", file=sys.stderr)
+                failed = True
+                continue
+            finished.append((result.metrics.last(), result.metrics.best()))
+        accs.append(finished)
+    return root, accs, failed
+
+
+def _mean_std(finished, column: int) -> list:
+    """Mean and std of one accuracy column (0 last, 1 best) over a cell's
+    finished seeds; empty fields when none finished."""
+    if not finished:
+        return ["", ""]
+    values = [acc[column] for acc in finished]
+    return [float(np.mean(values)), float(np.std(values))]
+
+
+def _write_summary(root, header, rows):
+    with open(os.path.join(root, "summary.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    print("\t".join(header))
+    for row in rows:
+        print("\t".join(f"{v:.4f}" if isinstance(v, float) else str(v)
+                        for v in row))
 
 
 def cmd_run(args) -> int:
@@ -106,84 +140,36 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     cfg.validate()
-    if args.axis not in SWEEP_AXES:
-        raise ConfigError(f"axis must be one of {sorted(SWEEP_AXES)}")
-    _check_seeds(args.seeds)
     field = SWEEP_AXES[args.axis]
     values = _axis_values(cfg, field, args.values)
-    root = cfg.out_dir or cfg.default_out_dir()
-    os.makedirs(root, exist_ok=True)
-    base_seed = cfg.seed
-    summary = []
-    failures = 0
-    for value in values:
-        accs_last, accs_best = [], []
-        for s in range(args.seeds):
-            sub = cfg.with_overrides([f"{field}={value}"])
-            sub.seed = base_seed + s
-            sub_dir = os.path.join(root, f"{args.axis}_{value}_seed{sub.seed}")
-            try:
-                execute_run(sub, sub_dir)
-            except AkcArcError as exc:
-                print(f"sub-run failed ({sub_dir}): {exc}", file=sys.stderr)
-                failures += 1
-                continue
-            last, best = _accuracies(sub_dir)
-            accs_last.append(last)
-            accs_best.append(best)
-        if accs_last:
-            summary.append((value, float(np.mean(accs_last)),
-                            float(np.std(accs_last)),
-                            float(np.mean(accs_best)), float(np.std(accs_best))))
-    header = [args.axis, "mean_last_acc", "std_last_acc",
-              "mean_best_acc", "std_best_acc"]
-    with open(os.path.join(root, "summary.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(summary)
-    print("\t".join(header))
-    for row in summary:
-        print("\t".join(f"{v:.4f}" if isinstance(v, float) else str(v)
-                        for v in row))
-    return 1 if failures else 0
+    root, accs, failed = _run_grid(
+        cfg, args.seeds, [(f"{args.axis}_{v}", [f"{field}={v}"]) for v in values]
+    )
+    rows = [[v] + _mean_std(cell, 0) + _mean_std(cell, 1)
+            for v, cell in zip(values, accs) if cell]
+    _write_summary(root, [args.axis, "mean_last_acc", "std_last_acc",
+                          "mean_best_acc", "std_best_acc"], rows)
+    return 1 if failed else 0
 
 
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
     cfg.validate()
-    _check_seeds(args.seeds)
     n_values = (_axis_values(cfg, "n_labeled", args.n_labeled)
                 if args.n_labeled else [cfg.n_labeled])
-    root = cfg.out_dir or cfg.default_out_dir()
-    os.makedirs(root, exist_ok=True)
-    base_seed = cfg.seed
+    root, accs, failed = _run_grid(cfg, args.seeds, [
+        (f"{m.replace('+', '_')}_n{n}", [f"method={m}", f"n_labeled={n}"])
+        for m in COMPARE_METHODS for n in n_values
+    ])
+    k = len(n_values)
     rows = []
-    for method in COMPARE_METHODS:
-        row = [method]
-        for n in n_values:
-            accs = []
-            for s in range(args.seeds):
-                sub = cfg.with_overrides([f"method={method}", f"n_labeled={n}"])
-                sub.seed = base_seed + s
-                sub_dir = os.path.join(
-                    root, f"{method.replace('+', '_')}_n{n}_seed{sub.seed}"
-                )
-                execute_run(sub, sub_dir)
-                accs.append(_accuracies(sub_dir)[0])
-            row.extend([float(np.mean(accs)), float(np.std(accs))])
-        rows.append(row)
-    header = ["method"]
-    for n in n_values:
-        header += [f"mean_acc_n{n}", f"std_acc_n{n}"]
-    with open(os.path.join(root, "summary.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    print("\t".join(header))
-    for row in rows:
-        print("\t".join(f"{v:.4f}" if isinstance(v, float) else str(v)
-                        for v in row))
-    return 0
+    for i, method in enumerate(COMPARE_METHODS):
+        cells = accs[i * k:(i + 1) * k]
+        if any(cells):
+            rows.append([method] + [x for cell in cells for x in _mean_std(cell, 0)])
+    _write_summary(root, ["method"] + [f"{stat}_acc_n{n}" for n in n_values
+                                       for stat in ("mean", "std")], rows)
+    return 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,8 +1,6 @@
 """Two-part network (feature extractor + linear head), its backward pass,
 imprinting initialization, EMA copies, and checkpoint round-tripping."""
 
-import hashlib
-
 import numpy as np
 
 from .errors import MissingClassError, ShapeError, StateError
@@ -168,12 +166,6 @@ class ModelPair:
             raise ShapeError("source/target extractor architectures differ")
         self.source = source.copy()
         self.target = target
-
-    def source_hash(self) -> str:
-        h = hashlib.sha256()
-        for name in sorted(self.source.params()):
-            h.update(self.source.params()[name].tobytes())
-        return h.hexdigest()
 
 
 def imprint(head: LinearHead, features, labels) -> LinearHead:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -167,6 +168,28 @@ class TestSweepCommand:
         assert code == 0
         assert os.path.isdir(os.path.join(out, "n_labeled_8_seed0"))
 
+    def test_sub_run_config_names_its_own_directory(self, tmp_path):
+        out = str(tmp_path / "sweep")
+        code = main(["sweep", "--axis", "eps_r", "--values", "0.3",
+                     "--seeds", "1", "--out", out] + TINY)
+        assert code == 0
+        sub_dir = os.path.join(out, "eps_r_0.3_seed0")
+        with open(os.path.join(sub_dir, "config.json")) as fh:
+            assert json.load(fh)["config"]["out_dir"] == sub_dir
+
+    def test_failed_sub_run_is_reported_and_the_rest_summarized(self, tmp_path,
+                                                                 capsys):
+        # TINY's target task has 4 classes, so n_labeled=3 cannot imprint
+        out = str(tmp_path / "sweep")
+        code = main(["sweep", "--axis", "n_labeled", "--values", "3,12",
+                     "--seeds", "1", "--out", out] + TINY)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("sub-run failed") == 1 and "Traceback" not in err
+        with open(os.path.join(out, "summary.csv")) as fh:
+            rows = list(csv.reader(fh))
+        assert [r[0] for r in rows[1:]] == ["12"]
+
 
 class TestCompareCommand:
     def test_grid_and_summary(self, tmp_path, capsys):
@@ -181,6 +204,22 @@ class TestCompareCommand:
         assert "supervised" in methods and "akc+arc" in methods
         assert len(methods) == 7
 
+    def test_failed_sub_runs_are_reported_and_the_rest_summarized(
+            self, tmp_path, capsys):
+        # TINY's target task has 4 classes, so n_labeled=3 cannot imprint
+        out = str(tmp_path / "cmp")
+        code = main(["compare", "--seeds", "1", "--n-labeled", "3,12",
+                     "--out", out] + TINY)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("sub-run failed") == 7 and "Traceback" not in err
+        with open(os.path.join(out, "summary.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 7
+        for row in rows:
+            assert row["mean_acc_n3"] == row["std_acc_n3"] == ""
+            assert float(row["mean_acc_n12"]) > 0 and row["std_acc_n12"] != ""
+
 
 class TestGridArguments:
     @pytest.mark.parametrize("argv", [
@@ -189,8 +228,11 @@ class TestGridArguments:
         ["sweep", "--axis", "eps_r", "--values", "0.3", "--seeds", "0"],
         ["compare", "--n-labeled", "x", "--seeds", "1"],
         ["compare", "--seeds", "0"],
+        ["sweep", "--axis", "eps_r", "--values", "0.3,2", "--seeds", "1"],
+        ["compare", "--n-labeled", "12,1", "--seeds", "1"],
     ], ids=["sweep-value-abc", "sweep-n_labeled-8.0", "sweep-seeds-0",
-            "compare-n_labeled-x", "compare-seeds-0"])
+            "compare-n_labeled-x", "compare-seeds-0", "sweep-eps_r-2",
+            "compare-n_labeled-1"])
     def test_bad_grid_argument_is_a_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "grid"
         code = main(argv + ["--out", str(out)] + TINY)
