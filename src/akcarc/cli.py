@@ -4,6 +4,7 @@ version)."""
 
 import argparse
 import csv
+import json
 import os
 import sys
 
@@ -43,10 +44,20 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def execute_run(cfg: ExperimentConfig, out_dir=None):
-    """Run one pipeline and persist metrics, config, and checkpoints."""
+    """Run one pipeline and persist metrics, config, and checkpoints.
+
+    A run that raises AkcArcError leaves `error.json` (the error's type and
+    message) in its directory instead, and the error propagates.
+    """
     out_dir = out_dir or cfg.default_out_dir()
     os.makedirs(out_dir, exist_ok=True)
-    result = run_pipeline(cfg)
+    try:
+        result = run_pipeline(cfg)
+    except AkcArcError as exc:
+        with open(os.path.join(out_dir, "error.json"), "w") as fh:
+            json.dump({"type": type(exc).__name__, "message": str(exc)}, fh, indent=2)
+            fh.write("\n")
+        raise
     result.metrics.to_csv(os.path.join(out_dir, "metrics.csv"))
     result.metrics.to_json(os.path.join(out_dir, "metrics.json"))
     cfg.to_json(

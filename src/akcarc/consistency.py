@@ -20,9 +20,9 @@ from .numerics import (
     entropy_rows,
     median_sigmas,
     mmd2_value_grad,
-    pooled_sq_dists,
     softmax_backward,
     softmax_rows,
+    sq_dist_blocks,
 )
 
 
@@ -153,15 +153,14 @@ def arc_loss(f_l, f_u, logits_l, logits_u, eps_r, buf_l, buf_u, sigmas=None):
     if star_l.shape[0] < 2 or star_u.shape[0] < 2:
         return 0.0, (d_f_l, d_f_u), frac_l, frac_u
 
-    d2 = pooled_sq_dists(star_l, star_u)
+    blocks = sq_dist_blocks(star_l, star_u)
     if sigmas is None:
-        sigmas = median_sigmas(d2)
-    value, d_star_l, d_star_u = mmd2_value_grad(star_l, star_u, sigmas, d2)
-
+        sigmas = median_sigmas(blocks)
     # current-batch rows are the newest pushes, i.e. the tail of the fetched
     # set; only they carry gradients back into the extractor
-    for d_f, d_star, idx in ((d_f_l, d_star_l, idx_l), (d_f_u, d_star_u, idx_u)):
-        n_current = min(len(idx), d_star.shape[0])
-        if n_current:
-            d_f[idx[-n_current:]] = d_star[-n_current:]
+    n_l = min(len(idx_l), star_l.shape[0])
+    n_u = min(len(idx_u), star_u.shape[0])
+    value, d_l, d_u = mmd2_value_grad(star_l, star_u, sigmas, blocks, (n_l, n_u))
+    d_f_l[idx_l[len(idx_l) - n_l:]] = d_l
+    d_f_u[idx_u[len(idx_u) - n_u:]] = d_u
     return float(value), (d_f_l, d_f_u), frac_l, frac_u

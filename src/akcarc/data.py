@@ -172,7 +172,8 @@ def load_csv(path, label_column: str = "label", label_map=None) -> SplitSet:
     Labels are remapped to dense 0..C-1; the mapping is recorded in
     `label_map` (original -> dense). A given `label_map` (e.g. that of the
     training file, when reading its test file) is used instead, and a label
-    outside it is a ParseError. Parse failures report line and column.
+    outside it is a ParseError, and so is a non-finite cell (nan, inf).
+    Parse failures report line and column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -214,6 +215,12 @@ def load_csv(path, label_column: str = "label", label_map=None) -> SplitSet:
     if not rows:
         raise ParseError(f"{path}: no data rows")
     x = np.asarray(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(x))
+    if bad.size:  # the first in file order; columns after the label shift by one
+        r, j = bad[0]
+        raise ParseError(
+            f"{path}:{r + 2}:{j + (j >= label_idx) + 1}: non-finite value {x[r, j]}"
+        )
     if label_map is None:
         label_map = {orig: dense for dense, orig in enumerate(sorted(set(labels)))}
     y = np.asarray([label_map[v] for v in labels], dtype=int)

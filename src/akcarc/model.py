@@ -4,7 +4,7 @@ imprinting initialization, EMA copies, and checkpoint round-tripping."""
 import numpy as np
 
 from .errors import MissingClassError, ShapeError, StateError
-from .numerics import as_tensor2
+from .numerics import as_tensor2, check_finite
 
 CHECKPOINT_VERSION = 1
 
@@ -136,7 +136,7 @@ class Classifier:
         return self.head.forward(self.extractor.forward(x))
 
     def predict(self, x) -> np.ndarray:
-        return np.argmax(self.forward(x), axis=1)
+        return np.argmax(check_finite(self.forward(x), "logits"), axis=1)
 
     def backward(self, acts, d_logits, d_features=None):
         """Gradients keyed like params() from dL/dlogits and an optional

@@ -99,12 +99,11 @@ def rbf_kernel(x, y, sigma: float) -> float:
     return float(np.exp(-d2 / (2.0 * sigma * sigma)))
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared euclidean distances, rows of a vs rows of b."""
-    aa = (a * a).sum(axis=1)[:, None]
-    bb = (b * b).sum(axis=1)[None, :]
-    d2 = aa + bb - 2.0 * a @ b.T
-    return np.maximum(d2, 0.0)
+def _sq_dists(a, aa, b, bb) -> np.ndarray:
+    """Pairwise squared euclidean distances, rows of a vs rows of b, given
+    the squared row norms aa of a and bb of b."""
+    d2 = aa[:, None] + bb[None, :] - 2.0 * a @ b.T
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _check_mmd_inputs(v, u):
@@ -116,14 +115,27 @@ def _check_mmd_inputs(v, u):
     return v, u
 
 
+def sq_dist_blocks(v, u):
+    """The three distinct blocks (vv, uu, vu) of the squared distances among
+    the pooled rows [v; u]. The fourth block, uv, is vu transposed."""
+    v, u = _check_mmd_inputs(v, u)
+    nv, nu = (v * v).sum(axis=1), (u * u).sum(axis=1)
+    return _sq_dists(v, nv, v, nv), _sq_dists(u, nu, u, nu), _sq_dists(v, nv, u, nu)
+
+
+def _check_blocks(blocks, m, n):
+    shapes = tuple(b.shape for b in blocks)
+    if shapes != ((m, m), (n, n), (m, n)):
+        raise ShapeError(f"distance blocks are {shapes}, expected {((m, m), (n, n), (m, n))}")
+
+
 def mmd2(v, u, sigmas) -> float:
     """Biased (V-statistic) squared MMD between row sets, summed over sigmas.
 
     Per bandwidth: mean_ij k(v_i, v_j) + mean_ij k(u_i, u_j)
     - 2 mean_ij k(v_i, u_j). Zero when the two sets are equal multisets.
     """
-    v, u = _check_mmd_inputs(v, u)
-    dvv, duu, dvu = _sq_dists(v, v), _sq_dists(u, u), _sq_dists(v, u)
+    dvv, duu, dvu = sq_dist_blocks(v, u)
     total = 0.0
     for s in sigmas:
         if s <= 0:
@@ -137,63 +149,83 @@ def mmd2(v, u, sigmas) -> float:
     return float(total)
 
 
-def pooled_sq_dists(v, u) -> np.ndarray:
-    """Squared distances among the pooled rows [v; u], a (m+n) x (m+n) matrix."""
-    v, u = _check_mmd_inputs(v, u)
-    pooled = np.vstack([v, u])
-    return _sq_dists(pooled, pooled)
+def mmd2_value_grad(v, u, sigmas, blocks=None, tail=None):
+    """mmd2 together with its gradients w.r.t. the last rows of v and of u.
 
+    `blocks` is `sq_dist_blocks(v, u)`, computed here when not given.
+    `tail = (tv, tu)` asks for the gradients of the last tv rows of v and
+    the last tu rows of u (default: every row); the value always covers
+    every pair. Sigmas are treated as constants (no gradient through a
+    bandwidth heuristic). Returns (value, dv, du) with dv, du shaped like
+    v[m - tv:], u[n - tu:].
 
-def mmd2_value_grad(v, u, sigmas, d2=None):
-    """mmd2 together with its gradients w.r.t. every row of v and of u.
-
-    `d2` is `pooled_sq_dists(v, u)`, computed here when not given. Sigmas
-    are treated as constants (no gradient through a bandwidth heuristic).
-    Returns (value, dv, du) with dv, du shaped like v, u.
+    Bandwidths are taken from largest to smallest. One that is exactly half
+    the one before it takes its kernel as the previous kernel to the 4th
+    power (gamma = 1 / (2 sigma^2) grows 4x); any other takes one exp.
     """
     v, u = _check_mmd_inputs(v, u)
     m, n = v.shape[0], u.shape[0]
-    if d2 is None:
-        d2 = pooled_sq_dists(v, u)
-    elif d2.shape != (m + n, m + n):
-        raise ShapeError(f"d2 is {d2.shape}, expected {(m + n, m + n)}")
-    # The gradient is linear in each kernel matrix: per block, sum c * K
-    # over the bandwidths first (d k(x, y) / dx = c * k * (y - x), with
-    # c = 1 / sigma^2), then multiply once.
-    blocks = (d2[:m, :m], d2[m:, m:], d2[:m, m:])
-    w = [np.zeros_like(b) for b in blocks]
-    means = np.zeros((len(sigmas), 3))
-    for j, blk in enumerate(blocks):
+    if blocks is None:
+        blocks = sq_dist_blocks(v, u)
+    _check_blocks(blocks, m, n)
+    tv, tu = (m, n) if tail is None else tail
+    if not (0 <= tv <= m and 0 <= tu <= n):
+        raise ShapeError(f"tail {(tv, tu)} outside the {(m, n)} rows")
+    sigmas = sorted(sigmas, reverse=True)
+    if sigmas and sigmas[-1] <= 0:
+        raise InvalidInput(f"sigma must be > 0, got {sigmas[-1]}")
+    # The gradient is linear in each kernel matrix: sum c * K over the
+    # bandwidths first (d k(x, y) / dx = c * k * (y - x), with
+    # c = 1 / sigma^2), only over the rows and columns of the tail, then
+    # multiply once. wvu holds the vu rows of the v tail, wuv the vu
+    # columns of the u tail.
+    wvv, wuu = np.zeros((tv, m)), np.zeros((tu, n))
+    wvu, wuv = np.zeros((tv, n)), np.zeros((m, tu))
+    value = 0.0
+    for blk, sign, parts in (
+        (blocks[0], 1.0, ((wvv, np.s_[m - tv:]),)),
+        (blocks[1], 1.0, ((wuu, np.s_[n - tu:]),)),
+        (blocks[2], -2.0, ((wvu, np.s_[m - tv:]), (wuv, np.s_[:, n - tu:]))),
+    ):
         k = np.empty_like(blk)
-        for i, s in enumerate(sigmas):
+        prev = None
+        for s in sigmas:
             g = 1.0 / (2.0 * s * s)
-            np.exp(np.multiply(blk, -g, out=k), out=k)
-            means[i, j] = k.mean()
-            k *= 2.0 * g
-            w[j] += k
-    value = sum(kvv + kuu - 2.0 * kvu for kvv, kuu, kvu in means)
-    wvv, wuu, wvu = w
+            if prev == 2.0 * s:
+                k *= k
+                k *= k
+            else:
+                np.exp(np.multiply(blk, -g, out=k), out=k)
+            prev = s
+            value += sign * k.mean()
+            for w, rows in parts:
+                w += (2.0 * g) * k[rows]
+    vt, ut = v[m - tv:], u[n - tu:]
     # within-set terms (1/m^2) sum_ij k(v_i, v_j): both arguments vary;
     # cross term -(2/(m n)) sum_ij k(v_i, u_j)
-    dv = (2.0 / (m * m)) * (wvv @ v - wvv.sum(axis=1)[:, None] * v)
-    dv -= (2.0 / (m * n)) * (wvu @ u - wvu.sum(axis=1)[:, None] * v)
-    du = (2.0 / (n * n)) * (wuu @ u - wuu.sum(axis=1)[:, None] * u)
-    du -= (2.0 / (m * n)) * (wvu.T @ v - wvu.sum(axis=0)[:, None] * u)
+    dv = (2.0 / (m * m)) * (wvv @ v - wvv.sum(axis=1)[:, None] * vt)
+    dv -= (2.0 / (m * n)) * (wvu @ u - wvu.sum(axis=1)[:, None] * vt)
+    du = (2.0 / (n * n)) * (wuu @ u - wuu.sum(axis=1)[:, None] * ut)
+    du -= (2.0 / (m * n)) * (wuv.T @ v - wuv.sum(axis=0)[:, None] * ut)
     return float(value), dv, du
 
 
-def median_sigmas(d2, factors=(0.5, 1.0, 2.0)):
-    """Bandwidths `factors` times the median pairwise distance, read from the
-    strict upper triangle of a squared-distance matrix (`pooled_sq_dists`).
+def median_sigmas(blocks, factors=(0.5, 1.0, 2.0)):
+    """Bandwidths `factors` times the median pairwise distance among the
+    pooled rows, read from `sq_dist_blocks(v, u)`: the strict upper
+    triangles of vv and uu plus all of vu, each pair once.
 
     Falls back to sigma = 1 when the median distance is zero. Equals
     np.median(np.sqrt(pairs)) exactly: sqrt is monotone, so one partition of
     the squared distances finds the middle pair.
     """
-    p = d2.shape[0]
-    if d2.shape != (p, p):
-        raise ShapeError(f"expected a square distance matrix, got {d2.shape}")
-    x = d2[~np.tri(p, p, 0, dtype=bool)]
+    m, n = blocks[0].shape[0], blocks[1].shape[0]
+    _check_blocks(blocks, m, n)
+    x = np.concatenate([
+        blocks[0][~np.tri(m, m, 0, dtype=bool)],
+        blocks[1][~np.tri(n, n, 0, dtype=bool)],
+        blocks[2].ravel(),
+    ])
     med = 0.0
     if x.size:
         k = x.size // 2

@@ -25,9 +25,9 @@ from akcarc.model import Classifier, LinearHead, MlpExtractor, ModelPair
 from akcarc.numerics import (
     median_sigmas,
     mmd2,
-    pooled_sq_dists,
     rbf_kernel,
     softmax_rows,
+    sq_dist_blocks,
 )
 from akcarc.ssl_baselines import (
     cross_entropy_loss,
@@ -389,7 +389,7 @@ def test_criterion_9_arc_mechanism():
             ext = res.pair.target.extractor
             f_l = ext.forward(split.labeled_x)
             f_u = ext.forward(split.unlabeled_x)
-            vals.append(mmd2(f_l, f_u, median_sigmas(pooled_sq_dists(f_l, f_u))))
+            vals.append(mmd2(f_l, f_u, median_sigmas(sq_dist_blocks(f_l, f_u))))
         wins += vals[1] < vals[0]
         details.append(f"{vals[0]:.4f}->{vals[1]:.4f}")
     report(9, "arc mechanism", wins == len(SEEDS),

@@ -93,9 +93,9 @@ class TestRunCommand:
         out = str(tmp_path / "run1")
         code = main(["run", "--out", out, "--seed", "1"] + TINY)
         assert code == 0
-        for name in ("metrics.csv", "metrics.json", "config.json",
-                     "source_model.npz", "target_model.npz"):
-            assert os.path.exists(os.path.join(out, name)), name
+        assert sorted(os.listdir(out)) == [
+            "config.json", "metrics.csv", "metrics.json",
+            "source_model.npz", "target_model.npz"]
         assert "final-epoch test accuracy" in capsys.readouterr().out
 
     def test_metrics_csv_byte_identical_across_reruns(self, tmp_path):
@@ -219,6 +219,17 @@ class TestCompareCommand:
         for row in rows:
             assert row["mean_acc_n3"] == row["std_acc_n3"] == ""
             assert float(row["mean_acc_n12"]) > 0 and row["std_acc_n12"] != ""
+        # each failed sub-run's directory says why it failed
+        failed_dirs = sorted(d for d in os.listdir(out) if d.endswith("_n3_seed0"))
+        assert len(failed_dirs) == 7
+        for d in failed_dirs:
+            assert os.listdir(os.path.join(out, d)) == ["error.json"]
+            with open(os.path.join(out, d, "error.json")) as fh:
+                error = json.load(fh)
+            assert error["type"] == "InvalidSplit"
+            assert f"sub-run failed ({os.path.join(out, d)}): {error['message']}" in err
+        assert not any(os.path.exists(os.path.join(out, d, "error.json"))
+                       for d in os.listdir(out) if d.endswith("_n12_seed0"))
 
 
 class TestGridArguments:

@@ -187,6 +187,20 @@ class TestCsv:
         assert str(paths[wide]) in msg and str(paths["src"]) in msg
         assert "2 features" in msg and "has 1" in msg
 
+    @pytest.mark.parametrize("bad,cell,value", [
+        ("src", "nan", "nan"), ("train", "inf", "inf"), ("test", "-Infinity", "-inf")])
+    def test_non_finite_cell_names_file_line_and_column(self, tmp_path, bad, cell, value):
+        # the label sits between the features, so the column count skips it
+        paths = {n: tmp_path / f"{n}.csv" for n in ("src", "train", "test")}
+        for name, p in paths.items():
+            second = f"2.0,1,{cell},{cell}" if name == bad else "2.0,1,0.5,0.5"
+            p.write_text(f"f0,label,f1,f2\n1.0,0,0.5,0.5\n{second}\n")
+        cfg = ExperimentConfig(source_train_csv=str(paths["src"]),
+                               target_train_csv=str(paths["train"]),
+                               target_test_csv=str(paths["test"]))
+        with pytest.raises(ParseError, match=rf"{bad}\.csv:3:3: non-finite value {value}$"):
+            cfg.load_data()
+
     def test_test_label_outside_training_labels_rejected(self, tmp_path):
         p = tmp_path / "test.csv"
         p.write_text("f0,label\n1.0,3\n2.0,4\n")

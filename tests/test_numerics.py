@@ -186,35 +186,53 @@ class TestMmd2:
                 assert grad[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
+def fd_grad(v, u, sig, arr, i, j, h=1e-5):
+    """Central difference of mmd2 in entry (i, j) of `arr` (v or u)."""
+    arr[i, j] += h
+    hi = numerics.mmd2(v, u, sig)
+    arr[i, j] -= 2 * h
+    lo = numerics.mmd2(v, u, sig)
+    arr[i, j] += h
+    return (hi - lo) / (2 * h)
+
+
+# 1.3 * (0.5, 1, 2) is a 2x ladder; (0.4, 1.0, 2.5) is not
+LADDER = [f * 1.3 for f in (0.5, 1.0, 2.0)]
+NON_LADDER = [0.4, 1.0, 2.5]
+
+
 class TestMedianSigmas:
     def test_scales_with_median(self):
         v = np.array([[0.0], [0.0]])
         u = np.array([[2.0], [2.0]])
-        sig = numerics.median_sigmas(numerics.pooled_sq_dists(v, u))
+        sig = numerics.median_sigmas(numerics.sq_dist_blocks(v, u))
         assert sig == [1.0, 2.0, 4.0]
 
     def test_zero_median_fallback(self):
         v = np.zeros((3, 2))
-        assert numerics.median_sigmas(numerics.pooled_sq_dists(v, v.copy()))[1] == 1.0
+        assert numerics.median_sigmas(numerics.sq_dist_blocks(v, v.copy()))[1] == 1.0
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 2), (256, 256)])
     def test_equals_numpy_median_of_pair_distances(self, m, n):
         # pairs among p = m + n rows: 1 and 3 (odd), 6, 10 and 130816 (even)
         rng = np.random.default_rng(m * 100 + n)
         v, u = rng.normal(size=(m, 5)), rng.normal(size=(n, 5))
-        d2 = numerics.pooled_sq_dists(v, u)
-        med = np.median(np.sqrt(d2[np.triu_indices(m + n, 1)]))
+        vv, uu, vu = numerics.sq_dist_blocks(v, u)
+        pooled = np.block([[vv, vu], [vu.T, uu]])
+        med = np.median(np.sqrt(pooled[np.triu_indices(m + n, 1)]))
         factors = (0.5, 1.0, 2.0)
-        assert numerics.median_sigmas(d2, factors) == [f * med for f in factors]
+        assert numerics.median_sigmas((vv, uu, vu), factors) == [f * med for f in factors]
 
     def test_non_square_matrix_rejected(self):
-        with pytest.raises(ShapeError):
-            numerics.median_sigmas(np.zeros((4, 2)))
+        vv, uu, vu = numerics.sq_dist_blocks(np.zeros((4, 2)), np.ones((3, 2)))
+        for bad in ((vv[:, :2], uu, vu), (vv, uu, vu.T), (vv, uu[:2], vu)):
+            with pytest.raises(ShapeError):
+                numerics.median_sigmas(bad)
 
     def test_fallback_is_scaled_by_factors(self):
         v = np.ones((2, 3))
-        d2 = numerics.pooled_sq_dists(v, v.copy())
-        assert numerics.median_sigmas(d2, (0.25, 3.0)) == [0.25, 3.0]
+        blocks = numerics.sq_dist_blocks(v, v.copy())
+        assert numerics.median_sigmas(blocks, (0.25, 3.0)) == [0.25, 3.0]
 
 
 class TestMmd2ValueGradPooled:
@@ -222,7 +240,7 @@ class TestMmd2ValueGradPooled:
         rng = np.random.default_rng(7)
         v, u = rng.normal(size=(6, 4)), rng.normal(size=(9, 4))
         sig = [0.7, 1.3, 2.9]
-        with_d2 = numerics.mmd2_value_grad(v, u, sig, numerics.pooled_sq_dists(v, u))
+        with_d2 = numerics.mmd2_value_grad(v, u, sig, numerics.sq_dist_blocks(v, u))
         without = numerics.mmd2_value_grad(v, u, sig)
         assert with_d2[0] == without[0]
         np.testing.assert_array_equal(with_d2[1], without[1])
@@ -237,26 +255,71 @@ class TestMmd2ValueGradPooled:
 
     def test_wrong_distance_shape_rejected(self):
         v, u = np.zeros((2, 2)), np.ones((3, 2))
+        vv, uu, vu = numerics.sq_dist_blocks(v, u)
         with pytest.raises(ShapeError):
-            numerics.mmd2_value_grad(v, u, [1.0], np.zeros((4, 4)))
+            numerics.mmd2_value_grad(v, u, [1.0], (vv, uu, vu.T))
+        with pytest.raises(ShapeError):
+            numerics.mmd2_value_grad(v, u, [1.0], (vv, uu, vu), (3, 1))
 
     def test_gradient_three_unequal_bandwidths_finite_differences(self):
         rng = np.random.default_rng(9)
-        h = 1e-5
         sig = [0.6, 1.1, 2.3]
         for _ in range(10):
             v, u = rng.normal(size=(5, 3)), rng.normal(size=(4, 3))
-            _, dv, du = numerics.mmd2_value_grad(v, u, sig, numerics.pooled_sq_dists(v, u))
+            _, dv, du = numerics.mmd2_value_grad(v, u, sig, numerics.sq_dist_blocks(v, u))
             for arr, grad in ((v, dv), (u, du)):
                 for i in range(arr.shape[0]):
                     for j in range(arr.shape[1]):
-                        arr[i, j] += h
-                        hi = numerics.mmd2(v, u, sig)
-                        arr[i, j] -= 2 * h
-                        lo = numerics.mmd2(v, u, sig)
-                        arr[i, j] += h
-                        fd = (hi - lo) / (2 * h)
+                        fd = fd_grad(v, u, sig, arr, i, j)
                         assert grad[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+
+class TestMmd2ValueGradLadder:
+    @pytest.mark.parametrize("sig", [LADDER, NON_LADDER, LADDER[::-1], [0.9]],
+                             ids=["ladder", "non-ladder", "ladder-ascending", "single"])
+    def test_value_matches_mmd2_relative(self, sig):
+        rng = np.random.default_rng(10)
+        for m, n in ((40, 30), (1, 7), (256, 256)):
+            v, u = rng.normal(size=(m, 6)), 1.2 * rng.normal(size=(n, 6)) + 0.3
+            value, _, _ = numerics.mmd2_value_grad(v, u, sig)
+            expect = numerics.mmd2(v, u, sig)
+            assert value == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("sig", [LADDER, NON_LADDER], ids=["ladder", "non-ladder"])
+    def test_tail_gradient_finite_differences(self, sig):
+        rng = np.random.default_rng(11)
+        for tv, tu in ((2, 3), (0, 4), (6, 0), (6, 5)):
+            v, u = rng.normal(size=(6, 3)), rng.normal(size=(5, 3))
+            _, dv, du = numerics.mmd2_value_grad(v, u, sig, numerics.sq_dist_blocks(v, u), (tv, tu))
+            assert dv.shape == (tv, 3) and du.shape == (tu, 3)
+            for arr, grad in ((v, dv), (u, du)):
+                first = arr.shape[0] - grad.shape[0]
+                for i in range(grad.shape[0]):
+                    for j in range(arr.shape[1]):
+                        fd = fd_grad(v, u, sig, arr, first + i, j)
+                        assert grad[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+    def test_tail_is_the_end_of_the_full_gradient(self):
+        rng = np.random.default_rng(12)
+        v, u = rng.normal(size=(30, 4)), rng.normal(size=(20, 4))
+        _, dv, du = numerics.mmd2_value_grad(v, u, LADDER)
+        _, tdv, tdu = numerics.mmd2_value_grad(v, u, LADDER, None, (7, 11))
+        np.testing.assert_allclose(tdv, dv[-7:], rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(tdu, du[-11:], rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("sig,exps", [(LADDER, 3), (NON_LADDER, 9)],
+                             ids=["ladder", "non-ladder"])
+    def test_one_exp_per_block_on_a_ladder(self, monkeypatch, sig, exps):
+        calls, exp = [], np.exp
+        monkeypatch.setattr(numerics.np, "exp", lambda *a, **k: calls.append(1) or exp(*a, **k))
+        rng = np.random.default_rng(13)
+        numerics.mmd2_value_grad(rng.normal(size=(5, 3)), rng.normal(size=(4, 3)), sig)
+        assert len(calls) == exps
+
+    def test_nonpositive_sigma_rejected(self):
+        v, u = np.zeros((2, 2)), np.ones((3, 2))
+        with pytest.raises(InvalidInput):
+            numerics.mmd2_value_grad(v, u, [1.0, 0.0])
 
 
 @settings(max_examples=50, deadline=None)

@@ -322,6 +322,12 @@ class TestAccuracy:
         assert accuracy(model, x, [0, 1]) == 1.0
         assert accuracy(model, x, [1, 0]) == 0.0
 
+    def test_non_finite_logits_rejected(self):
+        model = Classifier(MlpExtractor([2, 2]), LinearHead(2, 2))
+        model.head.w[0, 0] = np.nan
+        with pytest.raises(InvalidInput, match="logits"):
+            accuracy(model, np.ones((2, 2)), [0, 1])
+
     def test_empty_input(self):
         model = Classifier(MlpExtractor([2, 2]), LinearHead(2, 2))
         assert accuracy(model, np.zeros((0, 2)), []) == 0.0
