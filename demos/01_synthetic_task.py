@@ -47,5 +47,7 @@ labeled = split_labeled(target, n=40, seed=1)
 print(f"\nafter split_labeled(n=40): {labeled.labeled_x.shape[0]} labeled, "
       f"{labeled.unlabeled_x.shape[0]} unlabeled")
 print(f"labeled per class: {np.bincount(labeled.labeled_y).tolist()}")
-assert not set(labeled.labeled_ids) & set(labeled.unlabeled_ids)
-print("labeled/unlabeled ids are disjoint")
+# the labeled and unlabeled rows partition the original training rows
+rows = sorted(map(tuple, np.vstack([labeled.labeled_x, labeled.unlabeled_x]).tolist()))
+assert rows == sorted(map(tuple, target.labeled_x.tolist()))
+print("labeled/unlabeled rows partition the target training set")

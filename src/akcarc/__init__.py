@@ -12,7 +12,7 @@ from .config import ExperimentConfig
 from .consistency import ReplayBuffer, akc_loss, arc_loss
 from .data import SplitSet, SyntheticTaskSpec, generate_task, split_labeled
 from .model import Classifier, LinearHead, MlpExtractor, ModelPair, imprint
-from .numerics import entropy, kl_div, mmd2, rbf_kernel, softmax
+from .numerics import mmd2
 from .ssl_baselines import cross_entropy_loss
 from .training import MetricsLog, cosine_lr, run_pipeline, total_loss
 
@@ -22,7 +22,6 @@ __all__ = [
     "ExperimentConfig", "ReplayBuffer", "akc_loss", "arc_loss",
     "SplitSet", "SyntheticTaskSpec", "generate_task", "split_labeled",
     "Classifier", "LinearHead", "MlpExtractor", "ModelPair", "imprint",
-    "entropy", "kl_div", "mmd2", "rbf_kernel", "softmax",
-    "cross_entropy_loss",
+    "mmd2", "cross_entropy_loss",
     "MetricsLog", "cosine_lr", "run_pipeline", "total_loss",
 ]

@@ -142,7 +142,6 @@ class ExperimentConfig:
                     f"{self.source_train_csv} has {want}"
                 )
         target.test_x, target.test_y = test.labeled_x, test.labeled_y
-        target.test_ids = test.labeled_ids + target.labeled_ids.size
         return source, target
 
     # ------------------------------------------------------------- json i/o

@@ -15,8 +15,6 @@ from .errors import EmptyInput, InvalidInput, ShapeError
 from .numerics import (
     LOG_CLAMP,
     as_tensor2,
-    check_probvec,
-    entropy,
     entropy_rows,
     median_sigmas,
     mmd2_value_grad,
@@ -26,13 +24,11 @@ from .numerics import (
 )
 
 
-def akc_gate(p_source, eps_k: float) -> int:
-    """1 iff the source prediction's entropy is at or below eps_k."""
-    return int(entropy(check_probvec(p_source)) <= eps_k)
-
-
 def akc_weights(source_model, x, eps_k: float) -> np.ndarray:
-    """Binary AKC selection weights for a batch, from the frozen source model."""
+    """Binary AKC selection weights of a batch: 1 where the frozen source's
+    prediction has entropy at or below eps_k. `source_model` is anything
+    whose `forward` maps `x` to source logits: the source `Classifier` on
+    inputs, or its `LinearHead` on source features already computed."""
     probs = softmax_rows(source_model.forward(x))
     return (entropy_rows(probs) <= eps_k).astype(np.float64)
 

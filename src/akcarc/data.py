@@ -42,16 +42,13 @@ class SyntheticTaskSpec:
 
 @dataclass
 class SplitSet:
-    """Labeled (x, y), unlabeled x, and test (x, y) with disjoint example ids."""
+    """Labeled (x, y), unlabeled x, and test (x, y)."""
 
     labeled_x: np.ndarray
     labeled_y: np.ndarray
     unlabeled_x: np.ndarray
     test_x: np.ndarray
     test_y: np.ndarray
-    labeled_ids: np.ndarray
-    unlabeled_ids: np.ndarray
-    test_ids: np.ndarray
     label_map: dict = field(default_factory=dict)
 
     @property
@@ -121,17 +118,11 @@ def generate_task(spec: SyntheticTaskSpec):
         labeled_x=sx, labeled_y=sy,
         unlabeled_x=empty.copy(),
         test_x=empty.copy(), test_y=np.zeros(0, dtype=int),
-        labeled_ids=np.arange(spec.source_train),
-        unlabeled_ids=np.zeros(0, dtype=int),
-        test_ids=np.zeros(0, dtype=int),
     )
     target = SplitSet(
         labeled_x=tx, labeled_y=ty,
         unlabeled_x=empty.copy(),
         test_x=ex, test_y=ey,
-        labeled_ids=np.arange(spec.target_train),
-        unlabeled_ids=np.zeros(0, dtype=int),
-        test_ids=np.arange(spec.target_train, spec.target_train + spec.target_test),
     )
     return source, target
 
@@ -139,7 +130,7 @@ def generate_task(spec: SyntheticTaskSpec):
 def split_labeled(target: SplitSet, n: int, seed: int) -> SplitSet:
     """Keep a class-stratified draw of n examples labeled; the rest become
     unlabeled. Per-class labeled counts differ by at most one."""
-    x, y, ids = target.labeled_x, target.labeled_y, target.labeled_ids
+    x, y = target.labeled_x, target.labeled_y
     n_classes = int(y.max()) + 1
     if n < n_classes:
         raise InvalidSplit(f"n={n} < {n_classes} classes (imprinting needs each)")
@@ -161,8 +152,7 @@ def split_labeled(target: SplitSet, n: int, seed: int) -> SplitSet:
     mask[chosen] = True
     return replace(
         target,
-        labeled_x=x[mask], labeled_y=y[mask], labeled_ids=ids[mask],
-        unlabeled_x=x[~mask], unlabeled_ids=ids[~mask],
+        labeled_x=x[mask], labeled_y=y[mask], unlabeled_x=x[~mask],
     )
 
 
@@ -229,19 +219,6 @@ def load_csv(path, label_column: str = "label", label_map=None) -> SplitSet:
         labeled_x=x, labeled_y=y,
         unlabeled_x=np.zeros((0, dim)),
         test_x=np.zeros((0, dim)), test_y=np.zeros(0, dtype=int),
-        labeled_ids=np.arange(x.shape[0]),
-        unlabeled_ids=np.zeros(0, dtype=int),
-        test_ids=np.zeros(0, dtype=int),
         label_map=label_map,
     )
 
-
-def save_csv(path, x, y, label_column: str = "label"):
-    """Inverse of load_csv for already-dense labels."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=int)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(x.shape[1])] + [label_column])
-        for row, lab in zip(x, y):
-            writer.writerow([repr(float(v)) for v in row] + [int(lab)])

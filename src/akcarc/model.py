@@ -31,10 +31,6 @@ class MlpExtractor:
         ]
         self.biases = [np.zeros((1, dims[i + 1])) for i in range(len(dims) - 1)]
 
-    @property
-    def out_dim(self) -> int:
-        return self.dims[-1]
-
     def activations(self, x) -> list:
         """Layer activations [x, hidden..., features] of a batch; `backward`
         takes them back."""

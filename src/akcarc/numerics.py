@@ -1,7 +1,7 @@
-"""Dense numeric primitives: probability ops, RBF kernel, MMD, and their gradients.
+"""Dense numeric primitives: row-wise softmax and entropy, pairwise
+distances, the RBF-kernel MMD, and their gradients.
 
-All values travel as 2-D row-major float64 numpy arrays ("Tensor2"). A
-probability vector is a 1xC Tensor2 whose entries are in [0, 1] and sum to 1.
+All values travel as 2-D row-major float64 numpy arrays ("Tensor2").
 """
 
 import numpy as np
@@ -40,32 +40,6 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def softmax(logits) -> np.ndarray:
-    """Softmax of a single row of logits; returns a 1xC probability vector."""
-    row = as_tensor2(logits)
-    if row.shape[0] != 1:
-        raise ShapeError(f"softmax expects a single row, got {row.shape[0]}")
-    return softmax_rows(row)
-
-
-def check_probvec(p: np.ndarray) -> np.ndarray:
-    p = as_tensor2(p)
-    if p.shape[0] != 1:
-        raise InvalidInput("probability vector must be a single row")
-    if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
-        raise InvalidInput("probabilities outside [0, 1]")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise InvalidInput(f"probabilities sum to {p.sum()}, not 1")
-    return p
-
-
-def entropy(p) -> float:
-    """Shannon entropy in nats, with the convention 0*log(0) = 0."""
-    p = check_probvec(p)
-    q = p[p > 0]
-    return float(-(q * np.log(q)).sum())
-
-
 def entropy_rows(p: np.ndarray) -> np.ndarray:
     """Row-wise entropy in nats of a matrix of probability rows."""
     p = as_tensor2(p)
@@ -73,30 +47,8 @@ def entropy_rows(p: np.ndarray) -> np.ndarray:
     return -(p * np.log(q)).sum(axis=1)
 
 
-def kl_div(p, q) -> float:
-    """KL(p || q) in nats; q is clamped elementwise to LOG_CLAMP before the log."""
-    p = check_probvec(p)
-    q = check_probvec(q)
-    if p.shape != q.shape:
-        raise ShapeError(f"length mismatch: {p.shape[1]} vs {q.shape[1]}")
-    qc = np.maximum(q, LOG_CLAMP)
-    mask = p > 0
-    return float((p[mask] * (np.log(p[mask]) - np.log(qc[mask]))).sum())
-
-
 # ---------------------------------------------------------------------------
-# kernels and MMD
-
-
-def rbf_kernel(x, y, sigma: float) -> float:
-    """Gaussian RBF kernel exp(-||x - y||^2 / (2 sigma^2)) of two rows."""
-    if sigma <= 0:
-        raise InvalidInput(f"sigma must be > 0, got {sigma}")
-    x, y = as_tensor2(x), as_tensor2(y)
-    if x.shape != y.shape:
-        raise ShapeError(f"dim mismatch: {x.shape} vs {y.shape}")
-    d2 = float(((x - y) ** 2).sum())
-    return float(np.exp(-d2 / (2.0 * sigma * sigma)))
+# distances and MMD
 
 
 def _sq_dists(a, aa, b, bb) -> np.ndarray:

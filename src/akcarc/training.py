@@ -94,9 +94,8 @@ def sample_batches(labeled: BatchSampler, unlabeled: BatchSampler):
     return labeled.next(), unlabeled.next()
 
 
-def total_loss(pair: ModelPair, x_l, y_l, x_u, cfg: ExperimentConfig,
-               buf_l, buf_u, rng=None, source=None, teacher=None,
-               arc_sigmas=None):
+def total_loss(target: Classifier, x_l, y_l, x_u, cfg: ExperimentConfig,
+               buf_l, buf_u, source, rng=None, teacher=None, arc_sigmas=None):
     """Composite objective: L_CE + lambda_S L_S + lambda_K R_K + lambda_R R_R.
 
     The active terms, their weights, the AKC mode, the pseudo-label
@@ -104,9 +103,9 @@ def total_loss(pair: ModelPair, x_l, y_l, x_u, cfg: ExperimentConfig,
     extractor once over the rows the active terms read ([x_l; x_u] and, for
     mean teacher, the noisy student view of x_u), sums the terms' gradients
     w.r.t. logits and features, and backpropagates once. `source` is (frozen
-    source features, AKC gate weights) of the rows [x_l; x_u]; when omitted
-    both are computed from `pair.source`. `teacher` is (EMA teacher model,
-    absolute input-noise std) for mean teacher.
+    source features, AKC gate weights) of the rows [x_l; x_u], computed once
+    per pool at set-up. `teacher` is (EMA teacher model, absolute
+    input-noise std) for mean teacher.
 
     Returns (scalar, grads dict over target params, breakdown dict). The
     breakdown records each raw term value and the gate selected fractions;
@@ -116,7 +115,6 @@ def total_loss(pair: ModelPair, x_l, y_l, x_u, cfg: ExperimentConfig,
     n_l, n_u = x_l.shape[0], x_u.shape[0]
     if n_l == 0:
         raise EmptyInput("labeled batch must be non-empty")
-    target = pair.target
     ssl = cfg.ssl_method()
     use_akc = cfg.use_akc
     use_arc = cfg.use_arc and n_u > 0
@@ -155,11 +153,6 @@ def total_loss(pair: ModelPair, x_l, y_l, x_u, cfg: ExperimentConfig,
         d_logits[-n_u:] += cfg.lambda_s * d_s
 
     if use_akc:
-        if source is None:
-            x_all = np.vstack(rows[:2])  # [x_l; x_u]
-            eps_k = cfg.eps_k(pair.source.head.n_classes)
-            source = (pair.source.extractor.forward(x_all),
-                      consistency.akc_weights(pair.source, x_all, eps_k))
         f0, akc_w = source
         v_k, d_k, frac_k = consistency.akc_loss(feats[:n_lu], f0, akc_w, cfg.akc_mode)
         breakdown["akc"] = v_k
@@ -187,7 +180,6 @@ def total_loss(pair: ModelPair, x_l, y_l, x_u, cfg: ExperimentConfig,
 class MetricsLog:
     """Per-epoch training records with a fixed, versioned column schema."""
 
-    schema_version: int = METRICS_SCHEMA_VERSION
     records: list = field(default_factory=list)
 
     def append(self, **kwargs):
@@ -204,7 +196,7 @@ class MetricsLog:
                 )
 
     def to_json(self, path):
-        payload = {"schema_version": self.schema_version, "records": self.records}
+        payload = {"schema_version": METRICS_SCHEMA_VERSION, "records": self.records}
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
         return payload
@@ -251,7 +243,11 @@ class RunResult:
 
 def run_pipeline(cfg) -> RunResult:
     """Pre-train on the source task, copy and freeze, imprint the target
-    head, then fine-tune with the composite loss. Deterministic per seed."""
+    head, then fine-tune with the composite loss. Deterministic per seed.
+
+    An InvalidInput raised by a fine-tuning step, or by the evaluation after
+    the last step of an epoch, is re-raised with "epoch E, step S: " in
+    front of its message (S counts the steps of epoch E from 1)."""
     if not isinstance(cfg, ExperimentConfig):
         raise ConfigError(
             f"run_pipeline needs an ExperimentConfig, got {type(cfg).__name__}"
@@ -263,11 +259,8 @@ def run_pipeline(cfg) -> RunResult:
     rng_init_src, rng_pretrain, rng_init_tgt, rng_split, rng_train, rng_noise = rngs
 
     source_set, target_set = cfg.load_data()
-    target_set = (
-        split_labeled(target_set, cfg.n_labeled, int(rng_split.integers(2**31)))
-        if target_set.unlabeled_x.shape[0] == 0
-        else target_set
-    )
+    target_set = split_labeled(target_set, cfg.n_labeled,
+                               int(rng_split.integers(2**31)))
 
     d = source_set.labeled_x.shape[1]
     c_s = source_set.n_classes
@@ -293,8 +286,8 @@ def run_pipeline(cfg) -> RunResult:
 
     pool_x = target_set.all_train_x()
     n_l = target_set.labeled_x.shape[0]
-    pool_akc_w = consistency.akc_weights(pair.source, pool_x, cfg.eps_k(c_s))
     pool_f0 = pair.source.extractor.forward(pool_x)  # the source is frozen
+    pool_akc_w = consistency.akc_weights(pair.source.head, pool_f0, cfg.eps_k(c_s))
     akc_pool_fraction = float(pool_akc_w.mean())
 
     buf_l = consistency.ReplayBuffer(cfg.buffer_capacity, cfg.buffer_k)
@@ -327,33 +320,41 @@ def run_pipeline(cfg) -> RunResult:
                  ("ce", "ssl", "akc", "arc",
                   "arc_labeled_fraction", "arc_unlabeled_fraction")}
     log_epoch(0, cfg.eta0, dict(zero_sums), 0)
-    if cfg.epochs == 0:
-        return RunResult(metrics, pair, src, target_set, akc_pool_fraction)
 
     steps_per_epoch = max(1, int(np.ceil(pool_x.shape[0] / cfg.batch_unlabeled)))
     total_steps = steps_per_epoch * cfg.epochs
     opt = SgdMomentum(target_model.params(), cfg.eta0, total_steps)
-    sampler_l = BatchSampler(n_l, min(cfg.batch_labeled, max(n_l, 1)), rng_train)
+    sampler_l = BatchSampler(n_l, min(cfg.batch_labeled, n_l), rng_train)
     sampler_u = BatchSampler(pool_x.shape[0], cfg.batch_unlabeled, rng_train)
 
-    for epoch in range(1, cfg.epochs + 1):
-        sums = dict(zero_sums)
-        lr_at_epoch_start = opt.lr()
-        for _ in range(steps_per_epoch):
-            idx_l, idx_u = sample_batches(sampler_l, sampler_u)
-            x_l, y_l = target_set.labeled_x[idx_l], target_set.labeled_y[idx_l]
-            x_u = pool_x[idx_u]
-            idx_lu = np.concatenate([idx_l, idx_u])
-            _, grads, bd = total_loss(
-                pair, x_l, y_l, x_u, cfg, buf_l, buf_u, rng=rng_noise,
-                source=(pool_f0[idx_lu], pool_akc_w[idx_lu]), teacher=teacher,
-            )
-            opt.step(target_model.params(), grads)
-            if teacher is not None:
-                model.ema_update(teacher[0].params(), target_model.params(),
-                                 cfg.ema_alpha)
-            for k in sums:
-                sums[k] += bd[k]
-        log_epoch(epoch, lr_at_epoch_start, sums, steps_per_epoch)
+    epoch = step = 0
+    try:
+        # A diverging run overflows inside numpy before the typed finite
+        # checks (softmax_rows, accuracy) see it; their InvalidInput is the
+        # report, so numpy's warnings are kept off stderr.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(1, cfg.epochs + 1):
+                sums = dict(zero_sums)
+                lr_at_epoch_start = opt.lr()
+                for step in range(1, steps_per_epoch + 1):
+                    idx_l, idx_u = sample_batches(sampler_l, sampler_u)
+                    x_l = target_set.labeled_x[idx_l]
+                    y_l = target_set.labeled_y[idx_l]
+                    x_u = pool_x[idx_u]
+                    idx_lu = np.concatenate([idx_l, idx_u])
+                    _, grads, bd = total_loss(
+                        target_model, x_l, y_l, x_u, cfg, buf_l, buf_u,
+                        (pool_f0[idx_lu], pool_akc_w[idx_lu]),
+                        rng=rng_noise, teacher=teacher,
+                    )
+                    opt.step(target_model.params(), grads)
+                    if teacher is not None:
+                        model.ema_update(teacher[0].params(),
+                                         target_model.params(), cfg.ema_alpha)
+                    for k in sums:
+                        sums[k] += bd[k]
+                log_epoch(epoch, lr_at_epoch_start, sums, steps_per_epoch)
+    except InvalidInput as exc:
+        raise InvalidInput(f"epoch {epoch}, step {step}: {exc}") from exc
 
     return RunResult(metrics, pair, src, target_set, akc_pool_fraction)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from akcarc.consistency import akc_weights
 from akcarc.model import Classifier, LinearHead, MlpExtractor, ModelPair
 
 
@@ -41,6 +42,14 @@ def term_grads(model, x, term):
     if d_logits is None:
         d_logits = np.zeros_like(logits)
     return value, model.backward(acts, d_logits, d_features)
+
+
+def frozen_source(pair, x_l, x_u, cfg):
+    """The `source` argument of `total_loss` for the rows [x_l; x_u]: frozen
+    source features and AKC gate weights, computed as `run_pipeline`
+    computes them for the pool."""
+    f0 = pair.source.extractor.forward(np.vstack([x_l, x_u]))
+    return f0, akc_weights(pair.source.head, f0, cfg.eps_k(pair.source.head.n_classes))
 
 
 @pytest.fixture

@@ -25,7 +25,6 @@ from akcarc.model import Classifier, LinearHead, MlpExtractor, ModelPair
 from akcarc.numerics import (
     median_sigmas,
     mmd2,
-    rbf_kernel,
     softmax_rows,
     sq_dist_blocks,
 )
@@ -41,7 +40,8 @@ from akcarc.training import (
     total_loss,
 )
 
-from conftest import assert_grads_match, term_grads
+from conftest import assert_grads_match, frozen_source, term_grads
+from oracles import brute_force_mmd2
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -69,22 +69,6 @@ def report(n, name, ok, detail=""):
 
 def test_criterion_1_mmd_oracle():
     """mmd2 equals a brute-force triple-loop kernel sum on 200 instances."""
-
-    def brute(v, u, sigmas):
-        m, n = len(v), len(u)
-        total = 0.0
-        for s in sigmas:
-            for a in v:
-                for b in v:
-                    total += rbf_kernel(a, b, s) / (m * m)
-            for a in u:
-                for b in u:
-                    total += rbf_kernel(a, b, s) / (n * n)
-            for a in v:
-                for b in u:
-                    total -= 2.0 * rbf_kernel(a, b, s) / (m * n)
-        return total
-
     rng = np.random.default_rng(0)
     t0 = time.time()
     worst = 0.0
@@ -94,7 +78,7 @@ def test_criterion_1_mmd_oracle():
         v = rng.normal(size=(m, d))
         u = rng.normal(size=(n, d))
         sigmas = rng.uniform(0.3, 3.0, size=int(rng.integers(1, 4)))
-        diff = abs(mmd2(v, u, sigmas) - brute(v, u, sigmas))
+        diff = abs(mmd2(v, u, sigmas) - brute_force_mmd2(v, u, sigmas))
         worst = max(worst, diff)
     elapsed = time.time() - t0
     report(1, "mmd oracle", worst < 1e-10 and elapsed < 5,
@@ -185,9 +169,12 @@ def test_criterion_2_gradient_suite():
         lambda_s=0.5, eps_k_scale=1.0, eps_r_scale=1.0, pl_confidence=0.0,
     )
 
+    source_lu = frozen_source(pair, x_l, x_u, cfg)
+
     def composite():
         bl, bu = copy.deepcopy(seed_l), copy.deepcopy(seed_u)
-        return total_loss(pair, x_l, y_l, x_u, cfg, bl, bu, arc_sigmas=sigmas)
+        return total_loss(target, x_l, y_l, x_u, cfg, bl, bu, source_lu,
+                          arc_sigmas=sigmas)
 
     _, g, _ = composite()
     assert_grads_match(params, g, lambda: composite()[0], picks=2)

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +125,20 @@ class TestRunCommand:
         assert code == 2
         assert "config error" in err and assignment.partition("=")[0] in err
         assert "Traceback" not in err
+
+    def test_diverging_run_names_its_step(self, tmp_path, capsys):
+        out = str(tmp_path / "x")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--out", out, "--set", "eta0=50",
+                         "--set", "method=akc+arc"] + TINY + ["--set", "epochs=2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        match = re.fullmatch(r"error: (epoch \d+, step \d+: logits contains NaN/Inf)\n", err)
+        assert match
+        with open(os.path.join(out, "error.json")) as fh:
+            assert json.load(fh) == {"type": "InvalidInput", "message": match[1]}
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2

@@ -6,7 +6,6 @@ import pytest
 from akcarc import numerics
 from akcarc.consistency import (
     ReplayBuffer,
-    akc_gate,
     akc_loss,
     akc_weights,
     arc_loss,
@@ -59,30 +58,42 @@ def arc_term(n_l, eps_r, buf_l, buf_u, sigmas=None):
     return term
 
 
+class Logits:
+    """A stand-in source model whose `forward` returns its input as logits."""
+
+    def forward(self, z):
+        return z
+
+
+def gate(p, eps_k):
+    """AKC gate weights of probability rows p, passed as the logits log p."""
+    return akc_weights(Logits(), np.log(np.atleast_2d(p)), eps_k)
+
+
 class TestAkcGate:
     def test_below_threshold_selected(self):
         # H([0.9, 0.1]) ~ 0.325 < 0.7
-        assert akc_gate([0.9, 0.1], 0.7) == 1
+        assert gate([0.9, 0.1], 0.7).tolist() == [1.0]
 
     def test_boundary_inclusive(self):
-        p = [0.5, 0.5]
-        h = numerics.entropy(p)
-        assert akc_gate(p, h) == 1
-        assert akc_gate(p, h - 1e-9) == 0
+        z = np.zeros((1, 2))
+        h = numerics.entropy_rows(numerics.softmax_rows(z))[0]
+        assert h == pytest.approx(np.log(2), abs=1e-15)
+        assert akc_weights(Logits(), z, h).tolist() == [1.0]
+        assert akc_weights(Logits(), z, h - 1e-9).tolist() == [0.0]
 
     def test_max_entropy_threshold_selects_everything(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            p = rng.dirichlet(np.ones(6))
-            assert akc_gate(p, np.log(6)) == 1
+        p = rng.dirichlet(np.ones(6), size=50)
+        assert np.all(gate(p, np.log(6)) == 1.0)
 
     def test_monotone_in_eps(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             p = rng.dirichlet(np.ones(5))
             eps = sorted(rng.uniform(0, np.log(5), size=2))
-            if akc_gate(p, eps[0]):
-                assert akc_gate(p, eps[1])
+            if gate(p, eps[0])[0]:
+                assert gate(p, eps[1])[0]
 
 
 class TestAkcLoss:

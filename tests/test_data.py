@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,17 @@ from akcarc.data import (
     _plane_rotation,
     generate_task,
     load_csv,
-    save_csv,
     split_labeled,
 )
 from akcarc.config import ExperimentConfig
 from akcarc.errors import ConfigError, InvalidSplit, ParseError
 from akcarc.model import Classifier, LinearHead, MlpExtractor
 from akcarc.training import train_supervised, accuracy
+
+
+def rows(x):
+    """The rows of x as tuples."""
+    return list(map(tuple, x.tolist()))
 
 
 class TestSpecValidation:
@@ -82,9 +88,11 @@ class TestGenerateTask:
         counts = np.bincount(target.labeled_y)
         assert counts.max() - counts.min() <= 1
 
-    def test_ids_disjoint_between_train_and_test(self):
+    def test_rows_disjoint_between_train_and_test(self):
         _, target = generate_task(SyntheticTaskSpec())
-        assert not set(target.labeled_ids) & set(target.test_ids)
+        train = rows(target.labeled_x)
+        assert len(set(train)) == len(train)
+        assert not set(train) & set(rows(target.test_x))
 
     def test_linear_probe_sanity(self):
         # a small classifier trained on the full target train set should beat
@@ -119,17 +127,19 @@ class TestSplitLabeled:
         counts = np.bincount(t.labeled_y, minlength=4)
         assert counts.max() - counts.min() <= 1
 
-    def test_ids_partition_original(self):
+    def test_rows_partition_original(self):
         orig = self.make_target()
         t = split_labeled(orig, 40, 2)
-        combined = sorted(t.labeled_ids.tolist() + t.unlabeled_ids.tolist())
-        assert combined == sorted(orig.labeled_ids.tolist())
-        assert not set(t.labeled_ids) & set(t.unlabeled_ids)
+        # the rows are distinct, so equal sorted lists mean a partition
+        assert sorted(rows(t.labeled_x) + rows(t.unlabeled_x)) == sorted(rows(orig.labeled_x))
+        labeled = set(zip(rows(orig.labeled_x), orig.labeled_y.tolist()))
+        assert set(zip(rows(t.labeled_x), t.labeled_y.tolist())) <= labeled
 
     def test_deterministic(self):
         a = split_labeled(self.make_target(), 40, 7)
         b = split_labeled(self.make_target(), 40, 7)
-        np.testing.assert_array_equal(a.labeled_ids, b.labeled_ids)
+        np.testing.assert_array_equal(a.labeled_x, b.labeled_x)
+        np.testing.assert_array_equal(a.unlabeled_x, b.unlabeled_x)
 
     def test_rejects_fewer_than_classes(self):
         with pytest.raises(InvalidSplit):
@@ -146,7 +156,10 @@ class TestCsv:
         x = rng.normal(size=(12, 3))
         y = rng.integers(0, 3, size=12)
         p = tmp_path / "d.csv"
-        save_csv(p, x, y)
+        with open(p, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["f0", "f1", "f2", "label"])
+            writer.writerows([*map(repr, row), lab] for row, lab in zip(x.tolist(), y))
         loaded = load_csv(p)
         np.testing.assert_array_equal(loaded.labeled_x, x)
         np.testing.assert_array_equal(loaded.labeled_y, y)

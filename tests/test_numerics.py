@@ -4,119 +4,111 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from akcarc import numerics
+from akcarc.consistency import akc_loss
 from akcarc.errors import EmptyInput, InvalidInput, ShapeError
 
-
-def brute_force_mmd2(v, u, sigmas):
-    """Triple-loop kernel-sum oracle for the biased V-statistic."""
-    m, n = len(v), len(u)
-    total = 0.0
-    for s in sigmas:
-        a = sum(
-            numerics.rbf_kernel(v[i], v[j], s) for i in range(m) for j in range(m)
-        ) / (m * m)
-        b = sum(
-            numerics.rbf_kernel(u[i], u[j], s) for i in range(n) for j in range(n)
-        ) / (n * n)
-        c = sum(
-            numerics.rbf_kernel(v[i], u[j], s) for i in range(m) for j in range(n)
-        ) / (m * n)
-        total += a + b - 2 * c
-    return total
+from oracles import brute_force_mmd2, rbf_kernel
 
 
 class TestSoftmax:
     def test_symmetry(self):
-        np.testing.assert_allclose(numerics.softmax([0, 0]), [[0.5, 0.5]])
+        np.testing.assert_allclose(numerics.softmax_rows([0, 0]), [[0.5, 0.5]])
 
     def test_overflow_stabilized(self):
-        np.testing.assert_allclose(numerics.softmax([1000, 1000]), [[0.5, 0.5]])
+        np.testing.assert_allclose(
+            numerics.softmax_rows([[1000, 1000], [-1000, 0]]), [[0.5, 0.5], [0, 1]]
+        )
 
     def test_reference_values(self):
         # exp/sum oracle on [1,2,3]
         expect = np.exp([1.0, 2, 3]) / np.exp([1.0, 2, 3]).sum()
-        np.testing.assert_allclose(numerics.softmax([1, 2, 3])[0], expect, atol=1e-9)
+        np.testing.assert_allclose(numerics.softmax_rows([1, 2, 3])[0], expect, atol=1e-9)
         np.testing.assert_allclose(
-            numerics.softmax([1, 2, 3])[0], [0.09003057, 0.24472847, 0.66524096],
+            numerics.softmax_rows([1, 2, 3])[0], [0.09003057, 0.24472847, 0.66524096],
             atol=1e-7,
         )
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(InvalidInput):
-            numerics.softmax([np.nan, 0.0])
-
-    def test_multirow_rejected(self):
-        with pytest.raises(ShapeError):
-            numerics.softmax(np.zeros((2, 3)))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidInput, match="logits"):
+                numerics.softmax_rows([[0.0, 1.0], [bad, 0.0]])
 
 
 class TestEntropy:
     def test_uniform(self):
-        assert numerics.entropy([0.5, 0.5]) == pytest.approx(np.log(2), abs=1e-12)
+        assert numerics.entropy_rows([0.5, 0.5])[0] == pytest.approx(np.log(2), abs=1e-12)
 
     def test_degenerate(self):
-        assert numerics.entropy([1.0, 0.0, 0.0]) == 0.0
+        assert numerics.entropy_rows([1.0, 0.0, 0.0])[0] == 0.0
 
     def test_summation_oracle(self):
         p = [0.7, 0.2, 0.1]
         expect = -sum(x * np.log(x) for x in p)
-        assert numerics.entropy(p) == pytest.approx(expect, abs=1e-12)
-        assert numerics.entropy(p) == pytest.approx(0.801819, abs=1e-6)
+        h = numerics.entropy_rows([p, p[::-1]])
+        assert h == pytest.approx([expect, expect], abs=1e-12)
+        assert h[0] == pytest.approx(0.801819, abs=1e-6)
 
     @pytest.mark.parametrize("c", [2, 3, 10, 100, 1000])
     def test_uniform_equals_log_c(self, c):
         p = np.full(c, 1.0 / c)
-        assert abs(numerics.entropy(p) - np.log(c)) <= 1e-12
-
-    def test_invalid_rejected(self):
-        with pytest.raises(InvalidInput):
-            numerics.entropy([0.7, 0.7])
+        assert abs(numerics.entropy_rows(p)[0] - np.log(c)) <= 1e-12
 
 
 class TestKlDiv:
+    """KL(p || q) per row as the AKC `kl` mode computes it: p and q are the
+    softmax of the source and target features, and q is clamped to
+    LOG_CLAMP before the log. Logits of -1000 give an exact 0 probability."""
+
+    @staticmethod
+    def kl(zp, zq):
+        zp, zq = np.atleast_2d(zp), np.atleast_2d(zq)
+        value, _, _ = akc_loss(zq, zp, np.ones(len(zp)), "kl")
+        return value
+
     def test_identity(self):
-        assert numerics.kl_div([0.3, 0.7], [0.3, 0.7]) == 0.0
+        z = np.log([0.3, 0.7])
+        assert self.kl(z, z) == 0.0
 
     def test_onehot_vs_uniform(self):
         # sum oracle: 1*log(1/0.5) = log 2
-        assert numerics.kl_div([1, 0], [0.5, 0.5]) == pytest.approx(
-            np.log(2), abs=1e-12
-        )
+        assert self.kl([0, -1000], [0, 0]) == pytest.approx(np.log(2), abs=1e-12)
 
     def test_clamp_governs_zero_q(self):
         expect = 0.5 * np.log(0.5 / 1e-12) + 0.5 * np.log(0.5 / 1.0)
-        assert numerics.kl_div([0.5, 0.5], [1, 0]) == pytest.approx(expect, abs=1e-9)
+        assert self.kl([0, 0], [0, -1000]) == pytest.approx(expect, abs=1e-9)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            numerics.kl_div([0.5, 0.5], [0.3, 0.3, 0.4])
+            self.kl([0.0, 0.0], [0.0, 0.0, 0.0])
 
     def test_nonnegative_random(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             p = rng.dirichlet(np.ones(5))
             q = rng.dirichlet(np.ones(5))
-            assert numerics.kl_div(p, q) >= -1e-9
+            assert self.kl(np.log(p), np.log(q)) >= -1e-9
 
 
 class TestRbfKernel:
+    """The scalar kernel of the brute-force MMD oracle, against closed forms."""
+
     def test_self_is_one(self):
         x = [1.0, -2.0, 3.0]
-        assert numerics.rbf_kernel(x, x, 2.0) == 1.0
+        assert rbf_kernel(x, x, 2.0) == 1.0
 
     def test_closed_form(self):
-        assert numerics.rbf_kernel([0.0], [1.0], 1.0) == pytest.approx(
+        assert rbf_kernel([0.0], [1.0], 1.0) == pytest.approx(
             np.exp(-0.5), abs=1e-12
         )
 
     def test_monotone_in_sigma(self):
-        vals = [numerics.rbf_kernel([0.0], [1.0], s) for s in (0.5, 1, 2, 10, 100)]
+        vals = [rbf_kernel([0.0], [1.0], s) for s in (0.5, 1, 2, 10, 100)]
         assert vals == sorted(vals)
         assert vals[-1] > 0.999
 
     def test_bad_sigma(self):
         with pytest.raises(InvalidInput):
-            numerics.rbf_kernel([0.0], [1.0], 0.0)
+            rbf_kernel([0.0], [1.0], 0.0)
 
 
 class TestMmd2:
@@ -328,5 +320,5 @@ class TestMmd2ValueGradLadder:
 )
 def test_entropy_bounds_property(raw):
     p = np.asarray(raw) / np.sum(raw)
-    h = numerics.entropy(p)
+    h = numerics.entropy_rows(p)[0]
     assert -1e-12 <= h <= np.log(len(raw)) + 1e-9

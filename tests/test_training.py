@@ -20,7 +20,7 @@ from akcarc.training import (
     total_loss,
 )
 
-from conftest import assert_grads_match, term_grads
+from conftest import assert_grads_match, frozen_source, term_grads
 
 
 class TestCosineLr:
@@ -125,15 +125,17 @@ class TestTotalLoss:
         cfg = self.loss_cfg(method="akc+arc", lambda_k=2.0, lambda_r=5.0,
                             lambda_s=1.0)
         buf_l, buf_u = ReplayBuffer(64, 64), ReplayBuffer(64, 64)
-        value, _, bd = total_loss(small_pair, x_l, y_l, x_u, cfg, buf_l, buf_u)
+        value, _, bd = total_loss(small_pair.target, x_l, y_l, x_u, cfg, buf_l, buf_u,
+                                  frozen_source(small_pair, x_l, x_u, cfg))
         expect = bd["ce"] + 2.0 * bd["akc"] + 5.0 * bd["arc"]
         assert value == pytest.approx(expect, abs=1e-12)
 
     def test_supervised_only_matches_ce(self, small_pair):
         x_l, y_l, x_u = self.make_inputs()
+        cfg = self.loss_cfg(method="supervised")
         value, grads, bd = total_loss(
-            small_pair, x_l, y_l, x_u, self.loss_cfg(method="supervised"),
-            ReplayBuffer(), ReplayBuffer(),
+            small_pair.target, x_l, y_l, x_u, cfg, ReplayBuffer(), ReplayBuffer(),
+            frozen_source(small_pair, x_l, x_u, cfg),
         )
         v_ce, g_ce = term_grads(
             small_pair.target, x_l,
@@ -153,11 +155,12 @@ class TestTotalLoss:
         seed_l.update(rng.normal(size=(5, 3)))
         seed_u.update(rng.normal(size=(5, 3)))
         sigmas = [0.5, 1.0, 2.0]
+        source = frozen_source(small_pair, x_l, x_u, cfg)
 
         def call():
             bl, bu = copy.deepcopy(seed_l), copy.deepcopy(seed_u)
-            return total_loss(small_pair, x_l, y_l, x_u, cfg, bl, bu,
-                              arc_sigmas=sigmas)
+            return total_loss(small_pair.target, x_l, y_l, x_u, cfg, bl, bu,
+                              source, arc_sigmas=sigmas)
 
         _, grads, _ = call()
         assert_grads_match(
@@ -169,7 +172,8 @@ class TestTotalLoss:
         cfg = self.loss_cfg(method="pseudo_label", lambda_s=0.5,
                             pl_confidence=0.0)
         value, _, bd = total_loss(
-            small_pair, x_l, y_l, x_u, cfg, ReplayBuffer(), ReplayBuffer(),
+            small_pair.target, x_l, y_l, x_u, cfg, ReplayBuffer(), ReplayBuffer(),
+            frozen_source(small_pair, x_l, x_u, cfg),
         )
         assert bd["ssl"] > 0
         assert value == pytest.approx(bd["ce"] + 0.5 * bd["ssl"], abs=1e-12)
@@ -283,26 +287,36 @@ class TestRunPipeline:
         for name in ("activations", "forward", "backward"):
             monkeypatch.setattr(MlpExtractor, name, counting(name))
         inner_step = training.total_loss
-        steps = []
+        steps = []  # (id of the target extractor, calls of one step)
 
-        def step(pair, *args, **kwargs):
+        def step(target, *args, **kwargs):
             calls.clear()
-            out = inner_step(pair, *args, **kwargs)
-            tgt, src = id(pair.target.extractor), id(pair.source.extractor)
-            steps.append((
-                calls.count(("backward", tgt)),
-                calls.count(("activations", tgt)),
-                sum(1 for _, who in calls if who == src),
-            ))
+            out = inner_step(target, *args, **kwargs)
+            steps.append((id(target.extractor), list(calls)))
             return out
 
         monkeypatch.setattr(training, "total_loss", step)
-        run_pipeline(tiny_config(method=method, epochs=2))
+        res = run_pipeline(tiny_config(method=method, epochs=2))
+        src = id(res.pair.source.extractor)
         assert steps
-        for n_backward, n_activations, n_source in steps:
-            assert n_backward == 1
-            assert n_activations <= 1
-            assert n_source == 0
+        for tgt, step_calls in steps:
+            assert step_calls.count(("backward", tgt)) == 1
+            assert step_calls.count(("activations", tgt)) <= 1
+            assert not [c for c in step_calls if c[1] == src]
+
+    def test_setup_forwards_the_pool_through_the_source_once(self, monkeypatch):
+        rows = []  # rows of each call on any extractor: (id, rows)
+        inner = MlpExtractor.activations
+
+        def activations(self, x):
+            rows.append((id(self), len(x)))
+            return inner(self, x)
+
+        monkeypatch.setattr(MlpExtractor, "activations", activations)
+        res = run_pipeline(tiny_config(method="akc", epochs=1))
+        src = id(res.pair.source.extractor)
+        pool = len(res.target_split.labeled_x) + len(res.target_split.unlabeled_x)
+        assert [n for who, n in rows if who == src] == [pool]
 
     def test_epoch_zero_accuracy_is_imprint_accuracy(self):
         res = run_pipeline(tiny_config(method="supervised", epochs=0))
