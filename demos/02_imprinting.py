@@ -6,6 +6,8 @@ labeled target examples. This gives far-above-chance accuracy immediately,
 and fine-tuning starts from that point instead of from a random head.
 """
 
+import copy
+
 import numpy as np
 
 from akcarc.data import SyntheticTaskSpec, generate_task, split_labeled
@@ -28,13 +30,13 @@ print(f"source train accuracy: "
       f"{accuracy(src, source.labeled_x, source.labeled_y):.3f}")
 
 # copy the extractor; compare an imprinted head against a random head
-ext = src.extractor.copy()
+ext = copy.deepcopy(src.extractor)
 
 random_head = Classifier(ext, LinearHead(4, 32, np.random.default_rng(2)))
 print(f"random head, no training:    test acc "
       f"{accuracy(random_head, target.test_x, target.test_y):.3f}")
 
-imprinted = Classifier(ext.copy(), LinearHead(4, 32))
+imprinted = Classifier(copy.deepcopy(ext), LinearHead(4, 32))
 feats = imprinted.extractor.forward(target.labeled_x)
 imprint(imprinted.head, feats, target.labeled_y)
 acc0 = accuracy(imprinted, target.test_x, target.test_y)

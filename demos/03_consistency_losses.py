@@ -8,6 +8,8 @@ penalizes the MMD between confidently predicted labeled and unlabeled
 representation sets, stabilized by replay buffers of recent selections.
 """
 
+import copy
+
 import numpy as np
 
 from akcarc.config import ExperimentConfig
@@ -25,7 +27,7 @@ rng = np.random.default_rng(0)
 # a source/target pair whose target extractor has drifted a little
 ext = MlpExtractor([8, 16, 6], rng)
 source = Classifier(ext, LinearHead(5, 6, rng))
-tgt_ext = ext.copy()
+tgt_ext = copy.deepcopy(ext)
 for w in tgt_ext.weights:
     w += rng.normal(0, 0.05, size=w.shape)
 pair = ModelPair(source=source, target=Classifier(tgt_ext, LinearHead(3, 6, rng)))
@@ -53,7 +55,7 @@ grads = tgt_ext.backward(acts, d_f)
 print(f"gradient keys (target extractor only): {sorted(grads)}")
 
 # identical extractors -> zero penalty regardless of the gate
-v0, _, _ = akc_loss(f0, f0, w)
+v0, _, _ = akc_loss(f0, f0, w, "mse")
 print(f"with theta == theta0 the penalty is exactly {v0}")
 
 # --- ARC -------------------------------------------------------------

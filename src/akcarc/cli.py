@@ -43,13 +43,14 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def execute_run(cfg: ExperimentConfig, out_dir=None):
-    """Run one pipeline and persist metrics, config, and checkpoints.
+def execute_run(cfg: ExperimentConfig):
+    """Run one pipeline and persist metrics, config, and checkpoints into
+    `cfg.default_out_dir()`.
 
     A run that raises AkcArcError leaves `error.json` (the error's type and
     message) in its directory instead, and the error propagates.
     """
-    out_dir = out_dir or cfg.default_out_dir()
+    out_dir = cfg.default_out_dir()
     os.makedirs(out_dir, exist_ok=True)
     try:
         result = run_pipeline(cfg)

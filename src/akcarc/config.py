@@ -181,14 +181,13 @@ class ExperimentConfig:
             raw = raw["config"]
         return cls.from_dict(raw)
 
-    def to_json(self, path, extra_metadata=None):
+    def to_json(self, path, extra_metadata):
         payload = self.to_dict()
         payload_meta = {
             "mmd_estimator": "biased_v_statistic",
             "non_paper_defaults": ["pl_confidence", "ema_alpha", "noise_std"],
+            **extra_metadata,
         }
-        if extra_metadata:
-            payload_meta.update(extra_metadata)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"config": payload, "metadata": payload_meta}, fh, indent=2)
 

@@ -33,7 +33,7 @@ def akc_weights(source_model, x, eps_k: float) -> np.ndarray:
     return (entropy_rows(probs) <= eps_k).astype(np.float64)
 
 
-def akc_loss(features, source_features, weights, mode: str = "mse"):
+def akc_loss(features, source_features, weights, mode: str):
     """Knowledge-consistency penalty between source and target features.
 
     R_K = (1/B) sum_i w_i * D(F_source(x_i), F_target(x_i)), D per `mode`
@@ -80,7 +80,7 @@ class ReplayBuffer:
     view of the stored rows that callers must not write to.
     """
 
-    def __init__(self, capacity: int = 256, k: int = 256):
+    def __init__(self, capacity: int, k: int):
         if capacity < 1 or k < 1:
             raise InvalidInput("capacity and k must be >= 1")
         self.capacity = capacity
@@ -122,7 +122,7 @@ def arc_select(features, preds, eps_r: float):
     return idx, f[idx]
 
 
-def arc_loss(f_l, f_u, logits_l, logits_u, eps_r, buf_l, buf_u, sigmas=None):
+def arc_loss(f_l, f_u, logits_l, logits_u, eps_r, buf_l, buf_u):
     """Representation-consistency penalty between labeled and unlabeled streams.
 
     Rows of the features `f_l`, `f_u` whose target prediction (softmax of
@@ -133,8 +133,8 @@ def arc_loss(f_l, f_u, logits_l, logits_u, eps_r, buf_l, buf_u, sigmas=None):
     rows the loss is 0 with zero gradient. Returns (value, (dR/df_l,
     dR/df_u), labeled_fraction, unlabeled_fraction).
 
-    `sigmas=None` uses the median-distance heuristic on the fetched sets;
-    bandwidths are constants with respect to the gradient.
+    The bandwidths come from the median-distance heuristic on the fetched
+    sets and are constants with respect to the gradient.
     """
     f_l, f_u = as_tensor2(f_l), as_tensor2(f_u)
     idx_l, sel_l = arc_select(f_l, softmax_rows(logits_l), eps_r)
@@ -150,8 +150,7 @@ def arc_loss(f_l, f_u, logits_l, logits_u, eps_r, buf_l, buf_u, sigmas=None):
         return 0.0, (d_f_l, d_f_u), frac_l, frac_u
 
     blocks = sq_dist_blocks(star_l, star_u)
-    if sigmas is None:
-        sigmas = median_sigmas(blocks)
+    sigmas = median_sigmas(blocks)
     # current-batch rows are the newest pushes, i.e. the tail of the fetched
     # set; only they carry gradients back into the extractor
     n_l = min(len(idx_l), star_l.shape[0])

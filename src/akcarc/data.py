@@ -58,8 +58,6 @@ class SplitSet:
 
     def all_train_x(self) -> np.ndarray:
         """Full target training pool (labels ignored) for unlabeled sampling."""
-        if self.unlabeled_x.size == 0:
-            return self.labeled_x
         return np.vstack([self.labeled_x, self.unlabeled_x])
 
 
@@ -156,8 +154,9 @@ def split_labeled(target: SplitSet, n: int, seed: int) -> SplitSet:
     )
 
 
-def load_csv(path, label_column: str = "label", label_map=None) -> SplitSet:
-    """Read a header-bearing numeric CSV into a fully labeled SplitSet.
+def load_csv(path, label_map=None) -> SplitSet:
+    """Read a header-bearing numeric CSV with an integer `label` column into
+    a fully labeled SplitSet.
 
     Labels are remapped to dense 0..C-1; the mapping is recorded in
     `label_map` (original -> dense). A given `label_map` (e.g. that of the
@@ -171,9 +170,9 @@ def load_csv(path, label_column: str = "label", label_map=None) -> SplitSet:
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
-        if label_column not in header:
-            raise ParseError(f"{path}: no '{label_column}' column in header")
-        label_idx = header.index(label_column)
+        if "label" not in header:
+            raise ParseError(f"{path}: no 'label' column in header")
+        label_idx = header.index("label")
         rows, labels = [], []
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):

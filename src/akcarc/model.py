@@ -1,6 +1,8 @@
 """Two-part network (feature extractor + linear head), its backward pass,
 imprinting initialization, EMA copies, and checkpoint round-tripping."""
 
+import copy
+
 import numpy as np
 
 from .errors import MissingClassError, ShapeError, StateError
@@ -74,13 +76,6 @@ class MlpExtractor:
             out[f"b{i}"] = b
         return out
 
-    def copy(self) -> "MlpExtractor":
-        c = MlpExtractor.__new__(MlpExtractor)
-        c.dims = list(self.dims)
-        c.weights = [w.copy() for w in self.weights]
-        c.biases = [b.copy() for b in self.biases]
-        return c
-
 
 class LinearHead:
     """Linear classifier: logits = F @ W.T + b, with W of shape (C, h)."""
@@ -114,12 +109,6 @@ class LinearHead:
     def params(self):
         return {"W": self.w, "b": self.b}
 
-    def copy(self) -> "LinearHead":
-        c = LinearHead.__new__(LinearHead)
-        c.w = self.w.copy()
-        c.b = self.b.copy()
-        return c
-
 
 class Classifier:
     """Extractor plus head; parameters exposed as a flat name -> array dict."""
@@ -150,7 +139,7 @@ class Classifier:
         return out
 
     def copy(self) -> "Classifier":
-        return Classifier(self.extractor.copy(), self.head.copy())
+        return copy.deepcopy(self)
 
 
 class ModelPair:

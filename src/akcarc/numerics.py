@@ -22,7 +22,7 @@ def as_tensor2(x) -> np.ndarray:
     return a
 
 
-def check_finite(a: np.ndarray, name: str = "input") -> np.ndarray:
+def check_finite(a: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise InvalidInput(f"{name} contains NaN/Inf")
     return a
@@ -101,15 +101,14 @@ def mmd2(v, u, sigmas) -> float:
     return float(total)
 
 
-def mmd2_value_grad(v, u, sigmas, blocks=None, tail=None):
+def mmd2_value_grad(v, u, sigmas, blocks, tail):
     """mmd2 together with its gradients w.r.t. the last rows of v and of u.
 
-    `blocks` is `sq_dist_blocks(v, u)`, computed here when not given.
-    `tail = (tv, tu)` asks for the gradients of the last tv rows of v and
-    the last tu rows of u (default: every row); the value always covers
-    every pair. Sigmas are treated as constants (no gradient through a
-    bandwidth heuristic). Returns (value, dv, du) with dv, du shaped like
-    v[m - tv:], u[n - tu:].
+    `blocks` is `sq_dist_blocks(v, u)`. `tail = (tv, tu)` asks for the
+    gradients of the last tv rows of v and the last tu rows of u; the value
+    always covers every pair. Sigmas are treated as constants (no gradient
+    through a bandwidth heuristic). Returns (value, dv, du) with dv, du
+    shaped like v[m - tv:], u[n - tu:].
 
     Bandwidths are taken from largest to smallest. One that is exactly half
     the one before it takes its kernel as the previous kernel to the 4th
@@ -117,10 +116,8 @@ def mmd2_value_grad(v, u, sigmas, blocks=None, tail=None):
     """
     v, u = _check_mmd_inputs(v, u)
     m, n = v.shape[0], u.shape[0]
-    if blocks is None:
-        blocks = sq_dist_blocks(v, u)
     _check_blocks(blocks, m, n)
-    tv, tu = (m, n) if tail is None else tail
+    tv, tu = tail
     if not (0 <= tv <= m and 0 <= tu <= n):
         raise ShapeError(f"tail {(tv, tu)} outside the {(m, n)} rows")
     sigmas = sorted(sigmas, reverse=True)
@@ -162,8 +159,8 @@ def mmd2_value_grad(v, u, sigmas, blocks=None, tail=None):
     return float(value), dv, du
 
 
-def median_sigmas(blocks, factors=(0.5, 1.0, 2.0)):
-    """Bandwidths `factors` times the median pairwise distance among the
+def median_sigmas(blocks):
+    """Bandwidths [0.5, 1, 2] times the median pairwise distance among the
     pooled rows, read from `sq_dist_blocks(v, u)`: the strict upper
     triangles of vv and uu plus all of vu, each pair once.
 
@@ -187,7 +184,7 @@ def median_sigmas(blocks, factors=(0.5, 1.0, 2.0)):
             med = (float(np.sqrt(x[:k].max())) + med) / 2.0
     if med <= 0.0:
         med = 1.0
-    return [med * f for f in factors]
+    return [0.5 * med, med, 2.0 * med]
 
 
 def softmax_backward(q: np.ndarray, dq: np.ndarray) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Loss assembly, SGD with momentum under a cosine schedule, batch sampling,
 and the pre-train / imprint / fine-tune pipeline with per-epoch metrics."""
 
+import copy
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +21,9 @@ METRICS_COLUMNS = [
     "akc_fraction", "arc_labeled_fraction", "arc_unlabeled_fraction",
     "train_acc", "test_acc",
 ]
+# The per-step values that `total_loss` reports; each epoch logs their mean.
+STEP_COLUMNS = ("loss_ce", "loss_ssl", "loss_akc", "loss_arc",
+                "arc_labeled_fraction", "arc_unlabeled_fraction")
 
 
 def cosine_lr(t: int, total_steps: int, eta0: float) -> float:
@@ -33,11 +38,9 @@ def cosine_lr(t: int, total_steps: int, eta0: float) -> float:
 class SgdMomentum:
     """SGD with momentum 0.9 and cosine-decayed learning rate."""
 
-    def __init__(self, params: dict, eta0: float, total_steps: int,
-                 momentum: float = 0.9):
+    def __init__(self, params: dict, eta0: float, total_steps: int):
         self.eta0 = eta0
         self.total_steps = max(total_steps, 1)
-        self.momentum = momentum
         self.t = 0
         self.velocity = {k: np.zeros_like(v) for k, v in params.items()}
 
@@ -51,7 +54,7 @@ class SgdMomentum:
             if g.shape != p.shape:
                 raise ShapeError(f"gradient shape mismatch for {name}")
             v = self.velocity[name]
-            v *= self.momentum
+            v *= 0.9
             v += g
             p -= eta * v
         self.t += 1
@@ -95,7 +98,7 @@ def sample_batches(labeled: BatchSampler, unlabeled: BatchSampler):
 
 
 def total_loss(target: Classifier, x_l, y_l, x_u, cfg: ExperimentConfig,
-               buf_l, buf_u, source, rng=None, teacher=None, arc_sigmas=None):
+               buf_l, buf_u, source, rng=None, teacher=None):
     """Composite objective: L_CE + lambda_S L_S + lambda_K R_K + lambda_R R_R.
 
     The active terms, their weights, the AKC mode, the pseudo-label
@@ -108,8 +111,9 @@ def total_loss(target: Classifier, x_l, y_l, x_u, cfg: ExperimentConfig,
     input-noise std) for mean teacher.
 
     Returns (scalar, grads dict over target params, breakdown dict). The
-    breakdown records each raw term value and the gate selected fractions;
-    the scalar equals the weighted sum of the terms.
+    breakdown maps each of STEP_COLUMNS to its raw term value or ARC gate
+    selected fraction; the scalar equals the weighted sum of the terms. A
+    non-finite term is an InvalidInput naming its column.
     """
     x_l = np.asarray(x_l, dtype=np.float64)
     n_l, n_u = x_l.shape[0], x_u.shape[0]
@@ -134,11 +138,8 @@ def total_loss(target: Classifier, x_l, y_l, x_u, cfg: ExperimentConfig,
     d_logits = np.zeros_like(logits)
     d_logits[:n_l] = d_ce
     d_feats = np.zeros_like(feats) if use_akc or use_arc else None
-    breakdown = {
-        "ce": value, "ssl": 0.0, "akc": 0.0, "arc": 0.0,
-        "akc_fraction": 0.0, "arc_labeled_fraction": 0.0,
-        "arc_unlabeled_fraction": 0.0,
-    }
+    breakdown = dict.fromkeys(STEP_COLUMNS, 0.0)
+    breakdown["loss_ce"] = value
 
     if use_ssl:
         # the last n_u rows: x_u for pseudo-label, the student view for
@@ -148,30 +149,32 @@ def total_loss(target: Classifier, x_l, y_l, x_u, cfg: ExperimentConfig,
             v_s, d_s = ssl_baselines.pseudo_label_loss(z_u, cfg.pl_confidence)
         else:
             v_s, d_s = ssl_baselines.mean_teacher_loss(z_u, teacher_model.forward(x_t))
-        breakdown["ssl"] = v_s
+        breakdown["loss_ssl"] = v_s
         value += cfg.lambda_s * v_s
         d_logits[-n_u:] += cfg.lambda_s * d_s
 
     if use_akc:
         f0, akc_w = source
-        v_k, d_k, frac_k = consistency.akc_loss(feats[:n_lu], f0, akc_w, cfg.akc_mode)
-        breakdown["akc"] = v_k
-        breakdown["akc_fraction"] = frac_k
+        v_k, d_k, _ = consistency.akc_loss(feats[:n_lu], f0, akc_w, cfg.akc_mode)
+        breakdown["loss_akc"] = v_k
         value += cfg.lambda_k * v_k
         d_feats[:n_lu] += cfg.lambda_k * d_k
 
     if use_arc:
         v_r, (d_rl, d_ru), frac_rl, frac_ru = consistency.arc_loss(
             feats[:n_l], feats[n_l:n_lu], logits[:n_l], logits[n_l:n_lu],
-            cfg.eps_r(target.head.n_classes), buf_l, buf_u, sigmas=arc_sigmas,
+            cfg.eps_r(target.head.n_classes), buf_l, buf_u,
         )
-        breakdown["arc"] = v_r
+        breakdown["loss_arc"] = v_r
         breakdown["arc_labeled_fraction"] = frac_rl
         breakdown["arc_unlabeled_fraction"] = frac_ru
         value += cfg.lambda_r * v_r
         d_feats[:n_l] += cfg.lambda_r * d_rl
         d_feats[n_l:n_lu] += cfg.lambda_r * d_ru
 
+    for column in STEP_COLUMNS:
+        if not math.isfinite(breakdown[column]):
+            raise InvalidInput(f"{column} is not finite")
     grads = target.backward(acts, d_logits, d_feats)
     return float(value), grads, breakdown
 
@@ -201,16 +204,18 @@ class MetricsLog:
             json.dump(payload, fh, indent=2)
         return payload
 
-    def best(self, column="test_acc"):
-        return max(r[column] for r in self.records)
+    def best(self):
+        """Best test accuracy over the logged epochs."""
+        return max(r["test_acc"] for r in self.records)
 
-    def last(self, column="test_acc"):
-        return self.records[-1][column]
+    def last(self):
+        """Test accuracy of the last logged epoch."""
+        return self.records[-1]["test_acc"]
 
 
 def accuracy(classifier: Classifier, x, y) -> float:
     if np.asarray(x).shape[0] == 0:
-        return 0.0
+        raise EmptyInput("accuracy of no rows is undefined")
     return float((classifier.predict(x) == np.asarray(y)).mean())
 
 
@@ -276,7 +281,7 @@ def run_pipeline(cfg) -> RunResult:
         cfg.source_epochs, cfg.batch_labeled, cfg.source_eta0, rng_pretrain,
     )
 
-    tgt_ext = src.extractor.copy()
+    tgt_ext = copy.deepcopy(src.extractor)
     tgt_head = LinearHead(c_t, cfg.feature_dim, rng_init_tgt)
     if cfg.imprint_head:
         imprint(tgt_head, tgt_ext.forward(target_set.labeled_x),
@@ -296,32 +301,23 @@ def run_pipeline(cfg) -> RunResult:
     teacher = None
     if cfg.ssl_method() == "mean_teacher":
         # cfg.noise_std is relative to the pool's mean per-feature std
-        teacher = (target_model.copy(),
+        teacher = (copy.deepcopy(target_model),
                    cfg.noise_std * float(pool_x.std(axis=0).mean()))
 
+    steps_per_epoch = max(1, int(np.ceil(pool_x.shape[0] / cfg.batch_unlabeled)))
     metrics = MetricsLog()
 
-    def log_epoch(epoch, lr, sums, n_steps):
-        div = max(n_steps, 1)
+    def log_epoch(epoch, lr, sums):
         metrics.append(
-            epoch=epoch, lr=lr,
-            loss_ce=sums["ce"] / div, loss_ssl=sums["ssl"] / div,
-            loss_akc=sums["akc"] / div, loss_arc=sums["arc"] / div,
-            akc_fraction=akc_pool_fraction,
-            arc_labeled_fraction=sums["arc_labeled_fraction"] / div,
-            arc_unlabeled_fraction=sums["arc_unlabeled_fraction"] / div,
+            epoch=epoch, lr=lr, akc_fraction=akc_pool_fraction,
             train_acc=accuracy(target_model, target_set.labeled_x,
                                target_set.labeled_y),
             test_acc=accuracy(target_model, target_set.test_x,
                               target_set.test_y),
+            **{k: sums[k] / steps_per_epoch for k in STEP_COLUMNS},
         )
 
-    zero_sums = {k: 0.0 for k in
-                 ("ce", "ssl", "akc", "arc",
-                  "arc_labeled_fraction", "arc_unlabeled_fraction")}
-    log_epoch(0, cfg.eta0, dict(zero_sums), 0)
-
-    steps_per_epoch = max(1, int(np.ceil(pool_x.shape[0] / cfg.batch_unlabeled)))
+    log_epoch(0, cfg.eta0, dict.fromkeys(STEP_COLUMNS, 0.0))
     total_steps = steps_per_epoch * cfg.epochs
     opt = SgdMomentum(target_model.params(), cfg.eta0, total_steps)
     sampler_l = BatchSampler(n_l, min(cfg.batch_labeled, n_l), rng_train)
@@ -330,11 +326,11 @@ def run_pipeline(cfg) -> RunResult:
     epoch = step = 0
     try:
         # A diverging run overflows inside numpy before the typed finite
-        # checks (softmax_rows, accuracy) see it; their InvalidInput is the
-        # report, so numpy's warnings are kept off stderr.
+        # checks (total_loss's terms, softmax_rows, accuracy) see it; their
+        # InvalidInput is the report, so numpy's warnings are kept off stderr.
         with np.errstate(over="ignore", invalid="ignore"):
             for epoch in range(1, cfg.epochs + 1):
-                sums = dict(zero_sums)
+                sums = dict.fromkeys(STEP_COLUMNS, 0.0)
                 lr_at_epoch_start = opt.lr()
                 for step in range(1, steps_per_epoch + 1):
                     idx_l, idx_u = sample_batches(sampler_l, sampler_u)
@@ -353,7 +349,7 @@ def run_pipeline(cfg) -> RunResult:
                                          target_model.params(), cfg.ema_alpha)
                     for k in sums:
                         sums[k] += bd[k]
-                log_epoch(epoch, lr_at_epoch_start, sums, steps_per_epoch)
+                log_epoch(epoch, lr_at_epoch_start, sums)
     except InvalidInput as exc:
         raise InvalidInput(f"epoch {epoch}, step {step}: {exc}") from exc
 

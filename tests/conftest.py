@@ -1,6 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
+from akcarc import consistency
 from akcarc.consistency import akc_weights
 from akcarc.model import Classifier, LinearHead, MlpExtractor, ModelPair
 
@@ -44,6 +47,12 @@ def term_grads(model, x, term):
     return value, model.backward(acts, d_logits, d_features)
 
 
+def hold_sigmas(monkeypatch, sigmas):
+    """Make `arc_loss` use the bandwidths `sigmas` in place of the median
+    heuristic, so a finite difference sees them as constants."""
+    monkeypatch.setattr(consistency, "median_sigmas", lambda blocks: list(sigmas))
+
+
 def frozen_source(pair, x_l, x_u, cfg):
     """The `source` argument of `total_loss` for the rows [x_l; x_u]: frozen
     source features and AKC gate weights, computed as `run_pipeline`
@@ -59,7 +68,7 @@ def small_pair():
     rng = np.random.default_rng(42)
     ext = MlpExtractor([5, 8, 3], rng)
     src = Classifier(ext, LinearHead(4, 3, rng))
-    tgt_ext = ext.copy()
+    tgt_ext = copy.deepcopy(ext)
     for w in tgt_ext.weights:
         w += rng.normal(0, 0.05, size=w.shape)
     tgt = Classifier(tgt_ext, LinearHead(3, 3, rng))

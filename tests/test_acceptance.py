@@ -40,7 +40,7 @@ from akcarc.training import (
     total_loss,
 )
 
-from conftest import assert_grads_match, frozen_source, term_grads
+from conftest import assert_grads_match, frozen_source, hold_sigmas, term_grads
 from oracles import brute_force_mmd2
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -87,19 +87,19 @@ def test_criterion_1_mmd_oracle():
     assert elapsed < 5
 
 
-def test_criterion_2_gradient_suite():
+def test_criterion_2_gradient_suite(monkeypatch):
     """Every analytic gradient matches central finite differences
     (h=1e-5, rel <= 1e-4) on the default architecture, 6-example batches."""
     t0 = time.time()
     rng = np.random.default_rng(1)
     ext = MlpExtractor([16, 64, 64, 32], rng)
     source = Classifier(ext, LinearHead(10, 32, rng))
-    tgt_ext = ext.copy()
+    tgt_ext = copy.deepcopy(ext)
     for w in tgt_ext.weights:
         w += rng.normal(0, 0.05, size=w.shape)
     target = Classifier(tgt_ext, LinearHead(4, 32, rng))
     pair = ModelPair(source=source, target=target)
-    teacher = target.copy()
+    teacher = copy.deepcopy(target)
     for w in teacher.extractor.weights:
         w += rng.normal(0, 0.02, size=w.shape)
 
@@ -132,14 +132,14 @@ def test_criterion_2_gradient_suite():
     seed_l, seed_u = ReplayBuffer(64, 64), ReplayBuffer(64, 64)
     seed_l.update(rng.normal(size=(6, 32)))
     seed_u.update(rng.normal(size=(6, 32)))
-    sigmas = [1.0, 2.0]
+    hold_sigmas(monkeypatch, [1.0, 2.0])
 
     def arc_call():
         bl, bu = copy.deepcopy(seed_l), copy.deepcopy(seed_u)
 
         def arc_term(f, z):
             value, (d_l, d_u), _, _ = arc_loss(f[:6], f[6:], z[:6], z[6:],
-                                               np.log(4), bl, bu, sigmas=sigmas)
+                                               np.log(4), bl, bu)
             return value, None, np.vstack([d_l, d_u])
 
         return term_grads(target, np.vstack([x_l, x_u]), arc_term)
@@ -173,8 +173,7 @@ def test_criterion_2_gradient_suite():
 
     def composite():
         bl, bu = copy.deepcopy(seed_l), copy.deepcopy(seed_u)
-        return total_loss(target, x_l, y_l, x_u, cfg, bl, bu, source_lu,
-                          arc_sigmas=sigmas)
+        return total_loss(target, x_l, y_l, x_u, cfg, bl, bu, source_lu)
 
     _, g, _ = composite()
     assert_grads_match(params, g, lambda: composite()[0], picks=2)
@@ -190,7 +189,8 @@ def test_criterion_3_gate_boundaries():
     rng = np.random.default_rng(2)
     ext = MlpExtractor([8, 16, 6], rng)
     source = Classifier(ext, LinearHead(5, 6, rng))
-    pair = ModelPair(source=source, target=Classifier(ext.copy(), LinearHead(3, 6, rng)))
+    pair = ModelPair(source=source,
+                     target=Classifier(copy.deepcopy(ext), LinearHead(3, 6, rng)))
     for w in pair.target.extractor.weights:
         w += rng.normal(0, 0.05, size=w.shape)
 
@@ -198,7 +198,7 @@ def test_criterion_3_gate_boundaries():
         x = rng.normal(size=(int(rng.integers(2, 12)), 8)) * rng.uniform(0.5, 3)
         feats = pair.target.extractor.forward(x)
         v0, g0, f0 = akc_loss(feats, pair.source.extractor.forward(x),
-                              akc_weights(source, x, 0.0))
+                              akc_weights(source, x, 0.0), "mse")
         assert v0 == 0.0 and f0 == 0.0
         assert np.all(g0 == 0)
         w_full = akc_weights(source, x, np.log(5))
@@ -216,7 +216,7 @@ def test_criterion_3_gate_boundaries():
     report(3, "gate boundaries", True, "(100 random batches)")
 
 
-def test_criterion_4_replay_buffer():
+def test_criterion_4_replay_buffer(monkeypatch):
     """FIFO semantics vs a reference queue across 1000 interleavings, and
     buffered rows carry no gradient."""
     rng = np.random.default_rng(3)
@@ -242,7 +242,7 @@ def test_criterion_4_replay_buffer():
     ext = MlpExtractor([5, 8, 3], rng)
     pair = ModelPair(
         source=Classifier(ext, LinearHead(4, 3, rng)),
-        target=Classifier(ext.copy(), LinearHead(3, 3, rng)),
+        target=Classifier(copy.deepcopy(ext), LinearHead(3, 3, rng)),
     )
     for w in pair.target.extractor.weights:
         w += rng.normal(0, 0.05, size=w.shape)
@@ -250,14 +250,14 @@ def test_criterion_4_replay_buffer():
     seed_l, seed_u = ReplayBuffer(32, 32), ReplayBuffer(32, 32)
     seed_l.update(rng.normal(size=(4, 3)))
     seed_u.update(rng.normal(size=(4, 3)))
-    sigmas = [1.0]
+    hold_sigmas(monkeypatch, [1.0])
 
     def call():
         bl, bu = copy.deepcopy(seed_l), copy.deepcopy(seed_u)
 
         def arc_term(f, z):
             value, (d_l, d_u), _, _ = arc_loss(f[:5], f[5:], z[:5], z[5:],
-                                               np.log(3), bl, bu, sigmas=sigmas)
+                                               np.log(3), bl, bu)
             return value, None, np.vstack([d_l, d_u])
 
         return term_grads(pair.target, np.vstack([x_l, x_u]), arc_term)
@@ -390,7 +390,9 @@ def test_criterion_10_determinism(tmp_path):
                            source_epochs=5)
     blobs = []
     for i in range(2):
-        _, out = execute_run(copy.deepcopy(cfg), str(tmp_path / f"r{i}"))
+        sub = copy.deepcopy(cfg)
+        sub.out_dir = str(tmp_path / f"r{i}")
+        _, out = execute_run(sub)
         with open(f"{out}/metrics.csv", "rb") as fh:
             blobs.append(fh.read())
     ok = blobs[0] == blobs[1]

@@ -53,7 +53,7 @@ class TestConfig:
     def test_json_round_trip(self, tmp_path):
         cfg = ExperimentConfig(method="akc", lambda_r=12.5, seed=3)
         p = tmp_path / "c.json"
-        cfg.to_json(p)
+        cfg.to_json(p, {})
         with open(p) as fh:
             payload = json.load(fh)
         loaded = ExperimentConfig.from_dict(payload["config"])
@@ -135,7 +135,7 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        match = re.fullmatch(r"error: (epoch \d+, step \d+: logits contains NaN/Inf)\n", err)
+        match = re.fullmatch(r"error: (epoch \d+, step \d+: loss_arc is not finite)\n", err)
         assert match
         with open(os.path.join(out, "error.json")) as fh:
             assert json.load(fh) == {"type": "InvalidInput", "message": match[1]}
@@ -150,7 +150,7 @@ class TestRunCommand:
 
         cfg.task = replace(cfg.task, source_train=200, target_train=150,
                            target_test=100)
-        cfg.to_json(p)
+        cfg.to_json(p, {})
         out = str(tmp_path / "run")
         code = main(["run", "--config", str(p), "--out", out,
                      "--set", "method=akc"])

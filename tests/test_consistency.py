@@ -14,7 +14,7 @@ from akcarc.consistency import (
 )
 from akcarc.errors import EmptyInput, InvalidInput, ShapeError
 
-from conftest import assert_grads_match, term_grads
+from conftest import assert_grads_match, hold_sigmas, term_grads
 
 
 def akc_on(pair, x, eps_k, mode="mse", weights=None):
@@ -37,21 +37,21 @@ def akc_term(pair, x, eps_k, mode="mse", weights=None):
     return term
 
 
-def arc_on(pair, x_l, x_u, eps_r, buf_l, buf_u, sigmas=None):
+def arc_on(pair, x_l, x_u, eps_r, buf_l, buf_u):
     """arc_loss on the target features and logits of x_l and x_u."""
     ext, head = pair.target.extractor, pair.target.head
     f_l, f_u = ext.forward(x_l), ext.forward(x_u)
     return arc_loss(f_l, f_u, head.forward(f_l), head.forward(f_u),
-                    eps_r, buf_l, buf_u, sigmas=sigmas)
+                    eps_r, buf_l, buf_u)
 
 
-def arc_term(n_l, eps_r, buf_l, buf_u, sigmas=None):
+def arc_term(n_l, eps_r, buf_l, buf_u):
     """The ARC term of the stacked rows [x_l; x_u], for `term_grads`."""
 
     def term(features, logits):
         value, (d_l, d_u), _, _ = arc_loss(
             features[:n_l], features[n_l:], logits[:n_l], logits[n_l:],
-            eps_r, buf_l, buf_u, sigmas=sigmas,
+            eps_r, buf_l, buf_u,
         )
         return value, None, np.vstack([d_l, d_u])
 
@@ -100,7 +100,7 @@ class TestAkcLoss:
     def test_identical_models_zero(self, small_pair, micro_batch):
         x_l, _, x_u = micro_batch
         pair = small_pair
-        pair.target.extractor = pair.source.extractor.copy()
+        pair.target.extractor = copy.deepcopy(pair.source.extractor)
         v, _, _ = akc_on(pair, np.vstack([x_l, x_u]), eps_k=np.log(4))
         assert v == pytest.approx(0.0, abs=1e-15)
 
@@ -118,17 +118,17 @@ class TestAkcLoss:
         f0 = small_pair.source.extractor.forward(x)
         f = small_pair.target.extractor.forward(x)
         d = ((f - f0) ** 2).sum(axis=1)
-        v, _, frac = akc_loss(f, f0, [1.0, 0.0])
+        v, _, frac = akc_loss(f, f0, [1.0, 0.0], "mse")
         assert v == pytest.approx(d[0] / 2, abs=1e-12)
         assert frac == 0.5
 
     def test_empty_batch_rejected(self, small_pair):
         with pytest.raises(EmptyInput):
-            akc_loss(np.zeros((0, 3)), np.zeros((0, 3)), [])
+            akc_loss(np.zeros((0, 3)), np.zeros((0, 3)), [], "mse")
 
     def test_source_features_must_match(self):
         with pytest.raises(ShapeError):
-            akc_loss(np.zeros((2, 3)), np.zeros((3, 3)), [1.0, 1.0])
+            akc_loss(np.zeros((2, 3)), np.zeros((3, 3)), [1.0, 1.0], "mse")
 
     def test_unknown_mode_is_invalid_input(self):
         f = np.ones((2, 3))
@@ -293,7 +293,7 @@ class TestArcLoss:
         assert v == 0.0 and fl == 0.0 and fu == 0.0
         assert all(np.all(d == 0) for d in d_fs)
 
-    def test_matches_mmd_oracle_on_buffered_sets(self, small_pair):
+    def test_matches_mmd_oracle_on_buffered_sets(self, small_pair, monkeypatch):
         rng = np.random.default_rng(10)
         buf_l, buf_u = fresh_buffers()
         # pre-populate buffers, then check the loss equals mmd2 recomputed
@@ -305,9 +305,8 @@ class TestArcLoss:
         x_u = rng.normal(size=(4, 5))
         snap_l, snap_u = copy.deepcopy(buf_l), copy.deepcopy(buf_u)
         sigmas = [0.9, 2.1]
-        v, _, _, _ = arc_on(
-            small_pair, x_l, x_u, np.log(3), buf_l, buf_u, sigmas=sigmas
-        )
+        hold_sigmas(monkeypatch, sigmas)
+        v, _, _, _ = arc_on(small_pair, x_l, x_u, np.log(3), buf_l, buf_u)
         star_l = buffer_update_and_fetch(
             snap_l, arc_loss_selected(small_pair, x_l, np.log(3))
         )
@@ -316,7 +315,8 @@ class TestArcLoss:
         )
         assert v == pytest.approx(numerics.mmd2(star_l, star_u, sigmas), abs=1e-10)
 
-    def test_gradient_finite_differences_with_buffer(self, small_pair, micro_batch):
+    def test_gradient_finite_differences_with_buffer(self, small_pair, micro_batch,
+                                                     monkeypatch):
         x_l, _, x_u = micro_batch
         rng = np.random.default_rng(11)
         buf_l, buf_u = fresh_buffers()
@@ -324,13 +324,13 @@ class TestArcLoss:
             small_pair, rng.normal(size=(5, 5)), rng.normal(size=(5, 5)),
             np.log(3), buf_l, buf_u,
         )
-        sigmas = [1.0, 2.0]
+        hold_sigmas(monkeypatch, [1.0, 2.0])
         eps = np.log(3)  # select everything: gate flips cannot perturb the fd
         x = np.vstack([x_l, x_u])
 
         def call():
             term = arc_term(len(x_l), eps, copy.deepcopy(buf_l),
-                            copy.deepcopy(buf_u), sigmas=sigmas)
+                            copy.deepcopy(buf_u))
             return term_grads(small_pair.target, x, term)
 
         v, grads = call()
@@ -341,7 +341,7 @@ class TestArcLoss:
         assert_grads_match(ext_params, grads, lambda: call()[0], rel=1e-4,
                            abs_tol=1e-8)
 
-    def test_buffered_rows_carry_no_gradient(self, small_pair):
+    def test_buffered_rows_carry_no_gradient(self, small_pair, monkeypatch):
         # a parameter perturbation must influence the loss only through the
         # current batch: recompute with analytically frozen buffer rows and
         # compare against the full finite difference
@@ -351,12 +351,12 @@ class TestArcLoss:
         buf_l, buf_u = fresh_buffers()
         arc_on(small_pair, rng.normal(size=(6, 5)), rng.normal(size=(6, 5)),
                np.log(3), buf_l, buf_u)
-        sigmas = [1.5]
+        hold_sigmas(monkeypatch, [1.5])
         x = np.vstack([x_l, x_u])
 
         def call():
             term = arc_term(len(x_l), np.log(3), copy.deepcopy(buf_l),
-                            copy.deepcopy(buf_u), sigmas=sigmas)
+                            copy.deepcopy(buf_u))
             return term_grads(small_pair.target, x, term)
 
         _, grads = call()

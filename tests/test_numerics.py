@@ -111,6 +111,12 @@ class TestRbfKernel:
             rbf_kernel([0.0], [1.0], 0.0)
 
 
+def full_value_grad(v, u, sig):
+    """mmd2_value_grad with the gradients of every row of v and of u."""
+    return numerics.mmd2_value_grad(v, u, sig, numerics.sq_dist_blocks(v, u),
+                                    (v.shape[0], u.shape[0]))
+
+
 class TestMmd2:
     def test_identical_sets_zero(self):
         rng = np.random.default_rng(2)
@@ -165,7 +171,7 @@ class TestMmd2:
             v = rng.normal(size=(4, 3))
             u = rng.normal(size=(5, 3))
             sig = [0.8, 1.5]
-            _, dv, du = numerics.mmd2_value_grad(v, u, sig)
+            _, dv, du = full_value_grad(v, u, sig)
             for arr, grad in ((v, dv), (u, du)):
                 i = rng.integers(arr.shape[0])
                 j = rng.integers(arr.shape[1])
@@ -212,8 +218,7 @@ class TestMedianSigmas:
         vv, uu, vu = numerics.sq_dist_blocks(v, u)
         pooled = np.block([[vv, vu], [vu.T, uu]])
         med = np.median(np.sqrt(pooled[np.triu_indices(m + n, 1)]))
-        factors = (0.5, 1.0, 2.0)
-        assert numerics.median_sigmas((vv, uu, vu), factors) == [f * med for f in factors]
+        assert numerics.median_sigmas((vv, uu, vu)) == [0.5 * med, med, 2.0 * med]
 
     def test_non_square_matrix_rejected(self):
         vv, uu, vu = numerics.sq_dist_blocks(np.zeros((4, 2)), np.ones((3, 2)))
@@ -224,32 +229,22 @@ class TestMedianSigmas:
     def test_fallback_is_scaled_by_factors(self):
         v = np.ones((2, 3))
         blocks = numerics.sq_dist_blocks(v, v.copy())
-        assert numerics.median_sigmas(blocks, (0.25, 3.0)) == [0.25, 3.0]
+        assert numerics.median_sigmas(blocks) == [0.5, 1.0, 2.0]
 
 
 class TestMmd2ValueGradPooled:
-    def test_given_distances_equal_computed_ones(self):
-        rng = np.random.default_rng(7)
-        v, u = rng.normal(size=(6, 4)), rng.normal(size=(9, 4))
-        sig = [0.7, 1.3, 2.9]
-        with_d2 = numerics.mmd2_value_grad(v, u, sig, numerics.sq_dist_blocks(v, u))
-        without = numerics.mmd2_value_grad(v, u, sig)
-        assert with_d2[0] == without[0]
-        np.testing.assert_array_equal(with_d2[1], without[1])
-        np.testing.assert_array_equal(with_d2[2], without[2])
-
     def test_value_matches_mmd2(self):
         rng = np.random.default_rng(8)
         v, u = rng.normal(size=(5, 3)), rng.normal(size=(8, 3))
         sig = [0.4, 1.0, 2.5]
-        value, _, _ = numerics.mmd2_value_grad(v, u, sig)
+        value, _, _ = full_value_grad(v, u, sig)
         assert value == pytest.approx(numerics.mmd2(v, u, sig), abs=1e-12)
 
     def test_wrong_distance_shape_rejected(self):
         v, u = np.zeros((2, 2)), np.ones((3, 2))
         vv, uu, vu = numerics.sq_dist_blocks(v, u)
         with pytest.raises(ShapeError):
-            numerics.mmd2_value_grad(v, u, [1.0], (vv, uu, vu.T))
+            numerics.mmd2_value_grad(v, u, [1.0], (vv, uu, vu.T), (2, 3))
         with pytest.raises(ShapeError):
             numerics.mmd2_value_grad(v, u, [1.0], (vv, uu, vu), (3, 1))
 
@@ -258,7 +253,7 @@ class TestMmd2ValueGradPooled:
         sig = [0.6, 1.1, 2.3]
         for _ in range(10):
             v, u = rng.normal(size=(5, 3)), rng.normal(size=(4, 3))
-            _, dv, du = numerics.mmd2_value_grad(v, u, sig, numerics.sq_dist_blocks(v, u))
+            _, dv, du = full_value_grad(v, u, sig)
             for arr, grad in ((v, dv), (u, du)):
                 for i in range(arr.shape[0]):
                     for j in range(arr.shape[1]):
@@ -273,7 +268,7 @@ class TestMmd2ValueGradLadder:
         rng = np.random.default_rng(10)
         for m, n in ((40, 30), (1, 7), (256, 256)):
             v, u = rng.normal(size=(m, 6)), 1.2 * rng.normal(size=(n, 6)) + 0.3
-            value, _, _ = numerics.mmd2_value_grad(v, u, sig)
+            value, _, _ = full_value_grad(v, u, sig)
             expect = numerics.mmd2(v, u, sig)
             assert value == pytest.approx(expect, rel=1e-12)
 
@@ -294,8 +289,9 @@ class TestMmd2ValueGradLadder:
     def test_tail_is_the_end_of_the_full_gradient(self):
         rng = np.random.default_rng(12)
         v, u = rng.normal(size=(30, 4)), rng.normal(size=(20, 4))
-        _, dv, du = numerics.mmd2_value_grad(v, u, LADDER)
-        _, tdv, tdu = numerics.mmd2_value_grad(v, u, LADDER, None, (7, 11))
+        _, dv, du = full_value_grad(v, u, LADDER)
+        _, tdv, tdu = numerics.mmd2_value_grad(v, u, LADDER, numerics.sq_dist_blocks(v, u),
+                                               (7, 11))
         np.testing.assert_allclose(tdv, dv[-7:], rtol=1e-13, atol=1e-15)
         np.testing.assert_allclose(tdu, du[-11:], rtol=1e-13, atol=1e-15)
 
@@ -305,13 +301,13 @@ class TestMmd2ValueGradLadder:
         calls, exp = [], np.exp
         monkeypatch.setattr(numerics.np, "exp", lambda *a, **k: calls.append(1) or exp(*a, **k))
         rng = np.random.default_rng(13)
-        numerics.mmd2_value_grad(rng.normal(size=(5, 3)), rng.normal(size=(4, 3)), sig)
+        full_value_grad(rng.normal(size=(5, 3)), rng.normal(size=(4, 3)), sig)
         assert len(calls) == exps
 
     def test_nonpositive_sigma_rejected(self):
         v, u = np.zeros((2, 2)), np.ones((3, 2))
         with pytest.raises(InvalidInput):
-            numerics.mmd2_value_grad(v, u, [1.0, 0.0])
+            full_value_grad(v, u, [1.0, 0.0])
 
 
 @settings(max_examples=50, deadline=None)

@@ -6,11 +6,12 @@ import pytest
 from akcarc.config import ExperimentConfig
 from akcarc.consistency import ReplayBuffer
 from akcarc import training
-from akcarc.errors import ConfigError, InvalidInput
+from akcarc.errors import ConfigError, EmptyInput, InvalidInput
 from akcarc.model import Classifier, LinearHead, MlpExtractor
 from akcarc.ssl_baselines import cross_entropy_loss
 from akcarc.training import (
     METRICS_COLUMNS,
+    STEP_COLUMNS,
     BatchSampler,
     MetricsLog,
     SgdMomentum,
@@ -20,7 +21,7 @@ from akcarc.training import (
     total_loss,
 )
 
-from conftest import assert_grads_match, frozen_source, term_grads
+from conftest import assert_grads_match, frozen_source, hold_sigmas, term_grads
 
 
 class TestCosineLr:
@@ -65,15 +66,9 @@ class TestSgdMomentum:
             opt.step(p, g)
             assert p["w"][0, 0] == pytest.approx(ref_p, abs=1e-14)
 
-    def test_zero_momentum_is_plain_sgd(self):
-        p = {"w": np.array([[3.0]])}
-        opt = SgdMomentum(p, eta0=1.0, total_steps=10, momentum=0.0)
-        opt.step(p, {"w": np.array([[0.5]])})
-        assert p["w"][0, 0] == pytest.approx(2.5)
-
     def test_velocity_persists_across_steps(self):
         p = {"w": np.array([[0.0]])}
-        opt = SgdMomentum(p, eta0=1.0, total_steps=100, momentum=0.9)
+        opt = SgdMomentum(p, eta0=1.0, total_steps=100)
         zero_g = {"w": np.array([[0.0]])}
         opt.step(p, {"w": np.array([[1.0]])})
         before = p["w"][0, 0]
@@ -127,14 +122,16 @@ class TestTotalLoss:
         buf_l, buf_u = ReplayBuffer(64, 64), ReplayBuffer(64, 64)
         value, _, bd = total_loss(small_pair.target, x_l, y_l, x_u, cfg, buf_l, buf_u,
                                   frozen_source(small_pair, x_l, x_u, cfg))
-        expect = bd["ce"] + 2.0 * bd["akc"] + 5.0 * bd["arc"]
+        assert tuple(bd) == STEP_COLUMNS
+        assert set(STEP_COLUMNS) <= set(METRICS_COLUMNS)
+        expect = bd["loss_ce"] + 2.0 * bd["loss_akc"] + 5.0 * bd["loss_arc"]
         assert value == pytest.approx(expect, abs=1e-12)
 
     def test_supervised_only_matches_ce(self, small_pair):
         x_l, y_l, x_u = self.make_inputs()
         cfg = self.loss_cfg(method="supervised")
         value, grads, bd = total_loss(
-            small_pair.target, x_l, y_l, x_u, cfg, ReplayBuffer(), ReplayBuffer(),
+            small_pair.target, x_l, y_l, x_u, cfg, ReplayBuffer(256, 256), ReplayBuffer(256, 256),
             frozen_source(small_pair, x_l, x_u, cfg),
         )
         v_ce, g_ce = term_grads(
@@ -145,7 +142,7 @@ class TestTotalLoss:
         for k in g_ce:
             np.testing.assert_allclose(grads[k], g_ce[k], atol=1e-15)
 
-    def test_composite_gradient_finite_differences(self, small_pair):
+    def test_composite_gradient_finite_differences(self, small_pair, monkeypatch):
         # buffers and bandwidths must be held fixed across FD evaluations
         x_l, y_l, x_u = self.make_inputs()
         cfg = self.loss_cfg(method="akc+arc", lambda_k=1.0, lambda_r=3.0,
@@ -154,13 +151,13 @@ class TestTotalLoss:
         rng = np.random.default_rng(31)
         seed_l.update(rng.normal(size=(5, 3)))
         seed_u.update(rng.normal(size=(5, 3)))
-        sigmas = [0.5, 1.0, 2.0]
+        hold_sigmas(monkeypatch, [0.5, 1.0, 2.0])
         source = frozen_source(small_pair, x_l, x_u, cfg)
 
         def call():
             bl, bu = copy.deepcopy(seed_l), copy.deepcopy(seed_u)
             return total_loss(small_pair.target, x_l, y_l, x_u, cfg, bl, bu,
-                              source, arc_sigmas=sigmas)
+                              source)
 
         _, grads, _ = call()
         assert_grads_match(
@@ -172,11 +169,11 @@ class TestTotalLoss:
         cfg = self.loss_cfg(method="pseudo_label", lambda_s=0.5,
                             pl_confidence=0.0)
         value, _, bd = total_loss(
-            small_pair.target, x_l, y_l, x_u, cfg, ReplayBuffer(), ReplayBuffer(),
+            small_pair.target, x_l, y_l, x_u, cfg, ReplayBuffer(256, 256), ReplayBuffer(256, 256),
             frozen_source(small_pair, x_l, x_u, cfg),
         )
-        assert bd["ssl"] > 0
-        assert value == pytest.approx(bd["ce"] + 0.5 * bd["ssl"], abs=1e-12)
+        assert bd["loss_ssl"] > 0
+        assert value == pytest.approx(bd["loss_ce"] + 0.5 * bd["loss_ssl"], abs=1e-12)
 
 
 class TestMetricsLog:
@@ -344,4 +341,5 @@ class TestAccuracy:
 
     def test_empty_input(self):
         model = Classifier(MlpExtractor([2, 2]), LinearHead(2, 2))
-        assert accuracy(model, np.zeros((0, 2)), []) == 0.0
+        with pytest.raises(EmptyInput):
+            accuracy(model, np.zeros((0, 2)), [])
