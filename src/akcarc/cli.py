@@ -28,19 +28,15 @@ COMPARE_METHODS = [
 
 
 def _load_config(args) -> ExperimentConfig:
-    if args.config:
-        if not os.path.exists(args.config):
-            raise ConfigError(f"config file not found: {args.config}")
-        cfg = ExperimentConfig.from_json(args.config)
-    else:
-        cfg = ExperimentConfig()
+    """The validated config of a command's --config, --set, --seed and --out."""
+    cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
     if args.set:
         cfg = cfg.with_overrides(args.set)
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out:
         cfg.out_dir = args.out
-    return cfg
+    return cfg.validate()
 
 
 def execute_run(cfg: ExperimentConfig):
@@ -140,7 +136,6 @@ def _write_summary(root, header, rows):
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
-    cfg.validate()
     result, out_dir = execute_run(cfg)
     last, best = result.metrics.last(), result.metrics.best()
     print(f"run complete: {out_dir}")
@@ -151,7 +146,6 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    cfg.validate()
     field = SWEEP_AXES[args.axis]
     values = _axis_values(cfg, field, args.values)
     root, accs, failed = _run_grid(
@@ -166,7 +160,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
-    cfg.validate()
     n_values = (_axis_values(cfg, "n_labeled", args.n_labeled)
                 if args.n_labeled else [cfg.n_labeled])
     root, accs, failed = _run_grid(cfg, args.seeds, [

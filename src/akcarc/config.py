@@ -3,6 +3,7 @@ parsing, dotted-path overrides, and validation with field-path diagnostics."""
 
 import dataclasses
 import json
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 
@@ -12,7 +13,6 @@ from .data import SyntheticTaskSpec, generate_task, load_csv
 from .errors import ConfigError, ParseError
 
 METHOD_TOKENS = ("supervised", "akc", "arc", "pseudo_label", "mean_teacher")
-OUT_ROOT_ENV = "AKCARC_OUT"
 
 
 @dataclass
@@ -58,14 +58,6 @@ class ExperimentConfig:
                 raise ConfigError(f"method: unknown token {p!r}")
         return parts
 
-    @property
-    def use_akc(self) -> bool:
-        return "akc" in self.method_parts()
-
-    @property
-    def use_arc(self) -> bool:
-        return "arc" in self.method_parts()
-
     def ssl_method(self) -> str:
         parts = self.method_parts()
         ssl = [p for p in parts if p in ("pseudo_label", "mean_teacher")]
@@ -86,7 +78,9 @@ class ExperimentConfig:
     # ------------------------------------------------------------ validation
 
     def validate(self) -> "ExperimentConfig":
-        self.method_parts()
+        bad = _wrong_types(self, ExperimentConfig())
+        if bad:
+            raise ConfigError("invalid config field types: " + ", ".join(bad))
         self.ssl_method()
         checks = [
             ("n_labeled", self.n_labeled >= 2),
@@ -147,38 +141,35 @@ class ExperimentConfig:
     # ------------------------------------------------------------- json i/o
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["hidden_dims"] = list(self.hidden_dims)
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
+        task = raw.get("task", {})
+        if not isinstance(task, dict):
+            raise ConfigError(f"task: expected an object, got {task!r}")
+        unknown = [k for k in sorted(raw) if k not in _field_names(cls)]
+        unknown += [f"task.{k}" for k in sorted(task) if k not in _field_names(SyntheticTaskSpec)]
         if unknown:
-            raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
-        kwargs = dict(raw)
-        if "task" in kwargs:
-            task_known = {f.name for f in dataclasses.fields(SyntheticTaskSpec)}
-            task_unknown = set(kwargs["task"]) - task_known
-            if task_unknown:
-                raise ConfigError(
-                    "unknown config keys: "
-                    + ", ".join(f"task.{k}" for k in sorted(task_unknown))
-                )
-            kwargs["task"] = SyntheticTaskSpec(**kwargs["task"])
-        if "hidden_dims" in kwargs:
+            raise ConfigError("unknown config keys: " + ", ".join(unknown))
+        kwargs = dict(raw, task=SyntheticTaskSpec(**task))
+        if isinstance(kwargs.get("hidden_dims"), list):
             kwargs["hidden_dims"] = tuple(kwargs["hidden_dims"])
         return cls(**kwargs)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
         # accept both a bare config object and the wrapped form that
         # to_json writes ({"config": ..., "metadata": ...})
-        if "config" in raw and "metadata" in raw:
+        if isinstance(raw, dict) and "config" in raw and "metadata" in raw:
             raw = raw["config"]
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file {path}: expected a JSON object, got {raw!r}")
         return cls.from_dict(raw)
 
     def to_json(self, path, extra_metadata):
@@ -194,30 +185,57 @@ class ExperimentConfig:
     # ----------------------------------------------------------- overrides
 
     def with_overrides(self, assignments) -> "ExperimentConfig":
-        """Apply "dotted.key=value" strings; value types follow the current
-        field value (JSON-parsed where that fails)."""
-        d = self.to_dict()
+        """Apply "dotted.key=value" strings; each value is parsed as the type
+        of the field's default (a JSON list for hidden_dims)."""
+        d, defaults = self.to_dict(), ExperimentConfig().to_dict()
         for item in assignments:
             if "=" not in item:
                 raise ConfigError(f"override {item!r} is not key=value")
             key, _, value = item.partition("=")
-            node = d
+            node, default = d, defaults
             parts = key.split(".")
             for p in parts[:-1]:
                 if p not in node or not isinstance(node[p], dict):
                     raise ConfigError(f"unknown config key: {key}")
-                node = node[p]
+                node, default = node[p], default[p]
             leaf = parts[-1]
             if leaf not in node:
                 raise ConfigError(f"unknown config key: {key}")
-            node[leaf] = _coerce(key, value, node[leaf])
+            node[leaf] = _coerce(key, value, default[leaf])
         return ExperimentConfig.from_dict(d)
 
     def default_out_dir(self) -> str:
         if self.out_dir:
             return self.out_dir
-        root = os.environ.get(OUT_ROOT_ENV, "runs")
-        return os.path.join(root, f"{self.method.replace('+', '_')}_seed{self.seed}")
+        return os.path.join("runs", f"{self.method.replace('+', '_')}_seed{self.seed}")
+
+
+def _field_names(cls) -> set:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def _has_type(value, default) -> bool:
+    """Whether `value` has the type of the field default `default`: a bool
+    for a bool, any int for an int and any real number for a float (a bool
+    is neither), a str for a str, and ints >= 1 for the layer widths."""
+    if isinstance(default, tuple):
+        return isinstance(value, (tuple, list)) and all(
+            _has_type(v, 1) and v >= 1 for v in value)
+    kind = {int: numbers.Integral, float: numbers.Real}.get(type(default), type(default))
+    return isinstance(value, kind) and isinstance(value, bool) == isinstance(default, bool)
+
+
+def _wrong_types(obj, default, prefix: str = "") -> list:
+    """`name=value` for each field of the dataclass `obj` whose value lacks
+    the type of the same field in `default`, nested dataclasses included."""
+    bad = []
+    for f in dataclasses.fields(default):
+        value, want = getattr(obj, f.name), getattr(default, f.name)
+        if dataclasses.is_dataclass(want) and isinstance(value, type(want)):
+            bad += _wrong_types(value, want, f"{prefix}{f.name}.")
+        elif not _has_type(value, want):
+            bad.append(f"{prefix}{f.name}={value!r}")
+    return bad
 
 
 def _coerce(key: str, text: str, current):
@@ -233,10 +251,7 @@ def _coerce(key: str, text: str, current):
         if isinstance(current, float):
             return float(text)
         if isinstance(current, (list, tuple)):
-            value = json.loads(text)
-            if not isinstance(value, list):
-                raise ValueError("not a JSON list")
-            return value
+            return json.loads(text)
     except ValueError as exc:
         raise ConfigError(
             f"{key}: cannot parse {text!r} as {type(current).__name__} ({exc})"

@@ -24,13 +24,18 @@ from .numerics import (
 )
 
 
+def entropy_gate(logits, eps: float) -> np.ndarray:
+    """The adaptive selection of AKC and ARC: True for each row whose
+    prediction (softmax of its logits) has entropy at or below eps."""
+    return entropy_rows(softmax_rows(logits)) <= eps
+
+
 def akc_weights(source_model, x, eps_k: float) -> np.ndarray:
     """Binary AKC selection weights of a batch: 1 where the frozen source's
-    prediction has entropy at or below eps_k. `source_model` is anything
+    prediction passes the entropy gate at eps_k. `source_model` is anything
     whose `forward` maps `x` to source logits: the source `Classifier` on
     inputs, or its `LinearHead` on source features already computed."""
-    probs = softmax_rows(source_model.forward(x))
-    return (entropy_rows(probs) <= eps_k).astype(np.float64)
+    return entropy_gate(source_model.forward(x), eps_k).astype(np.float64)
 
 
 def akc_loss(features, source_features, weights, mode: str):
@@ -90,16 +95,12 @@ class ReplayBuffer:
     def __len__(self):
         return self.rows.shape[0]
 
-    @property
-    def dim(self):
-        return self.rows.shape[1] if len(self) else None
-
     def update(self, rows):
         if not np.size(rows):
             return
         rows = as_tensor2(rows)
-        if len(self) and rows.shape[1] != self.dim:
-            raise ShapeError(f"row dim {rows.shape[1]} != buffer dim {self.dim}")
+        if len(self) and rows.shape[1] != self.rows.shape[1]:
+            raise ShapeError(f"row dim {rows.shape[1]} != buffer dim {self.rows.shape[1]}")
         kept = self.rows if len(self) else rows[:0]
         self.rows = np.concatenate([kept, rows])[-self.capacity:]
 
@@ -112,38 +113,28 @@ def buffer_update_and_fetch(buf: ReplayBuffer, new_rows) -> np.ndarray:
     return buf.get_last_k()
 
 
-def arc_select(features, preds, eps_r: float):
-    """Indices and rows of features whose prediction entropy is <= eps_r."""
-    f = as_tensor2(features)
-    p = as_tensor2(preds)
-    if f.shape[0] != p.shape[0]:
-        raise ShapeError("features/preds row mismatch")
-    idx = np.flatnonzero(entropy_rows(p) <= eps_r)
-    return idx, f[idx]
-
-
 def arc_loss(f_l, f_u, logits_l, logits_u, eps_r, buf_l, buf_u):
     """Representation-consistency penalty between labeled and unlabeled streams.
 
-    Rows of the features `f_l`, `f_u` whose target prediction (softmax of
-    the matching logits) passes the entropy gate are pushed into the
-    per-stream replay buffers; the MMD is computed on the fetched recent-k
-    sets. Gradients flow only through current-batch selected rows
-    (buffered rows are detached). If either fetched set has fewer than 2
-    rows the loss is 0 with zero gradient. Returns (value, (dR/df_l,
-    dR/df_u), labeled_fraction, unlabeled_fraction).
+    Rows of the features `f_l`, `f_u` whose matching logits pass the
+    entropy gate at eps_r are pushed into the per-stream replay buffers;
+    the MMD is computed on the fetched recent-k sets. Gradients flow only
+    through current-batch selected rows (buffered rows are detached). If
+    either fetched set has fewer than 2 rows the loss is 0 with zero
+    gradient. Returns (value, (dR/df_l, dR/df_u), labeled_fraction,
+    unlabeled_fraction).
 
     The bandwidths come from the median-distance heuristic on the fetched
     sets and are constants with respect to the gradient.
     """
     f_l, f_u = as_tensor2(f_l), as_tensor2(f_u)
-    idx_l, sel_l = arc_select(f_l, softmax_rows(logits_l), eps_r)
-    idx_u, sel_u = arc_select(f_u, softmax_rows(logits_u), eps_r)
+    idx_l = np.flatnonzero(entropy_gate(logits_l, eps_r))
+    idx_u = np.flatnonzero(entropy_gate(logits_u, eps_r))
     frac_l = len(idx_l) / max(f_l.shape[0], 1)
     frac_u = len(idx_u) / max(f_u.shape[0], 1)
 
-    star_l = buffer_update_and_fetch(buf_l, sel_l)
-    star_u = buffer_update_and_fetch(buf_u, sel_u)
+    star_l = buffer_update_and_fetch(buf_l, f_l[idx_l])
+    star_u = buffer_update_and_fetch(buf_u, f_u[idx_u])
 
     d_f_l, d_f_u = np.zeros_like(f_l), np.zeros_like(f_u)
     if star_l.shape[0] < 2 or star_u.shape[0] < 2:

@@ -84,9 +84,7 @@ class LinearHead:
         if n_classes < 2:
             raise ShapeError("head needs at least 2 classes")
         rng = rng or np.random.default_rng(0)
-        self.w = glorot_uniform(rng, n_classes, feature_dim).reshape(
-            n_classes, feature_dim
-        )
+        self.w = glorot_uniform(rng, n_classes, feature_dim)
         self.b = np.zeros((1, n_classes))
 
     @property
@@ -177,7 +175,7 @@ def imprint(head: LinearHead, features, labels) -> LinearHead:
     return head
 
 
-def ema_update(teacher_params: dict, student_params: dict, alpha: float) -> dict:
+def ema_update(teacher_params: dict, student_params: dict, alpha: float):
     """In-place teacher <- alpha * teacher + (1 - alpha) * student."""
     for name, t in teacher_params.items():
         s = student_params[name]
@@ -185,7 +183,6 @@ def ema_update(teacher_params: dict, student_params: dict, alpha: float) -> dict
             raise ShapeError(f"shape mismatch for {name}: {t.shape} vs {s.shape}")
         t *= alpha
         t += (1.0 - alpha) * s
-    return teacher_params
 
 
 def save_checkpoint(path, model: Classifier):

@@ -9,6 +9,18 @@ from .errors import EmptyInput, InvalidLabel
 from .numerics import LOG_CLAMP, as_tensor2, softmax_backward, softmax_rows
 
 
+def _nll(probs, y):
+    """Mean negative log-probability of classes `y` under softmax rows
+    `probs`, and its gradient w.r.t. the logits of those rows."""
+    b = probs.shape[0]
+    rows = np.arange(b)
+    value = float(-np.log(np.maximum(probs[rows, y], LOG_CLAMP)).mean())
+    d_logits = probs.copy()
+    d_logits[rows, y] -= 1.0
+    d_logits /= b
+    return value, d_logits
+
+
 def cross_entropy_loss(logits, y):
     """Mean negative log-probability of the true class."""
     z = as_tensor2(logits)
@@ -18,13 +30,7 @@ def cross_entropy_loss(logits, y):
     c = z.shape[1]
     if np.any(y < 0) or np.any(y >= c):
         raise InvalidLabel(f"labels must be in [0, {c})")
-    b = z.shape[0]
-    probs = softmax_rows(z)
-    value = float(-np.log(np.maximum(probs[np.arange(b), y], LOG_CLAMP)).mean())
-    d_logits = probs.copy()
-    d_logits[np.arange(b), y] -= 1.0
-    d_logits /= b
-    return value, d_logits
+    return _nll(softmax_rows(z), y)
 
 
 def pseudo_label_loss(logits, pl_confidence: float):
@@ -42,12 +48,8 @@ def pseudo_label_loss(logits, pl_confidence: float):
     accepted = np.flatnonzero(probs.max(axis=1) >= pl_confidence)
     if accepted.size == 0:
         return 0.0, d_logits
-    labels = probs[accepted].argmax(axis=1)
-    picked = np.maximum(probs[accepted, labels], LOG_CLAMP)
-    value = float(-np.log(picked).mean())
-    d_logits[accepted] = probs[accepted]
-    d_logits[accepted, labels] -= 1.0
-    d_logits /= accepted.size
+    confident = probs[accepted]
+    value, d_logits[accepted] = _nll(confident, confident.argmax(axis=1))
     return value, d_logits
 
 

@@ -36,9 +36,11 @@ def cosine_lr(t: int, total_steps: int, eta0: float) -> float:
 
 
 class SgdMomentum:
-    """SGD with momentum 0.9 and cosine-decayed learning rate."""
+    """SGD with momentum 0.9 and cosine-decayed learning rate. `step`
+    updates the arrays of the parameter dict it was built with in place."""
 
     def __init__(self, params: dict, eta0: float, total_steps: int):
+        self.params = params
         self.eta0 = eta0
         self.total_steps = max(total_steps, 1)
         self.t = 0
@@ -47,9 +49,9 @@ class SgdMomentum:
     def lr(self) -> float:
         return cosine_lr(self.t, self.total_steps, self.eta0)
 
-    def step(self, params: dict, grads: dict):
+    def step(self, grads: dict):
         eta = self.lr()
-        for name, p in params.items():
+        for name, p in self.params.items():
             g = grads[name]
             if g.shape != p.shape:
                 raise ShapeError(f"gradient shape mismatch for {name}")
@@ -117,16 +119,15 @@ def total_loss(target: Classifier, x_l, y_l, x_u, cfg: ExperimentConfig,
     """
     x_l = np.asarray(x_l, dtype=np.float64)
     n_l, n_u = x_l.shape[0], x_u.shape[0]
-    if n_l == 0:
-        raise EmptyInput("labeled batch must be non-empty")
-    ssl = cfg.ssl_method()
-    use_akc = cfg.use_akc
-    use_arc = cfg.use_arc and n_u > 0
-    use_ssl = ssl != "none" and cfg.lambda_s > 0 and n_u > 0
-    use_pl = use_ssl and ssl == "pseudo_label"
+    parts = cfg.method_parts()
+    use_akc = "akc" in parts
+    use_arc = "arc" in parts and n_u > 0
+    use_ssl = cfg.lambda_s > 0 and n_u > 0
+    use_pl = use_ssl and "pseudo_label" in parts
+    use_mt = use_ssl and "mean_teacher" in parts
     rows = [x_l, x_u] if n_u > 0 and (use_akc or use_arc or use_pl) else [x_l]
     n_lu = sum(r.shape[0] for r in rows)
-    if use_ssl and ssl == "mean_teacher":
+    if use_mt:
         teacher_model, noise_std = teacher
         x_s, x_t = ssl_baselines.noisy_views(x_u, noise_std, rng)
         rows.append(x_s)
@@ -141,7 +142,7 @@ def total_loss(target: Classifier, x_l, y_l, x_u, cfg: ExperimentConfig,
     breakdown = dict.fromkeys(STEP_COLUMNS, 0.0)
     breakdown["loss_ce"] = value
 
-    if use_ssl:
+    if use_pl or use_mt:
         # the last n_u rows: x_u for pseudo-label, the student view for
         # mean teacher
         z_u = logits[-n_u:]
@@ -202,7 +203,6 @@ class MetricsLog:
         payload = {"schema_version": METRICS_SCHEMA_VERSION, "records": self.records}
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
-        return payload
 
     def best(self):
         """Best test accuracy over the logged epochs."""
@@ -220,8 +220,9 @@ def accuracy(classifier: Classifier, x, y) -> float:
 
 
 def train_supervised(classifier: Classifier, x, y, epochs: int, batch_size: int,
-                     eta0: float, rng) -> Classifier:
-    """Plain cross-entropy training loop (used for source pre-training)."""
+                     eta0: float, rng):
+    """Plain cross-entropy training of `classifier` in place (used for
+    source pre-training)."""
     n = x.shape[0]
     steps_per_epoch = max(1, int(np.ceil(n / batch_size)))
     total = steps_per_epoch * max(epochs, 1)
@@ -233,8 +234,7 @@ def train_supervised(classifier: Classifier, x, y, epochs: int, batch_size: int,
         _, d_logits = ssl_baselines.cross_entropy_loss(
             classifier.head.forward(acts[-1]), y[idx]
         )
-        opt.step(classifier.params(), classifier.backward(acts, d_logits))
-    return classifier
+        opt.step(classifier.backward(acts, d_logits))
 
 
 @dataclass
@@ -303,6 +303,7 @@ def run_pipeline(cfg) -> RunResult:
         # cfg.noise_std is relative to the pool's mean per-feature std
         teacher = (copy.deepcopy(target_model),
                    cfg.noise_std * float(pool_x.std(axis=0).mean()))
+        teacher_params = teacher[0].params()
 
     steps_per_epoch = max(1, int(np.ceil(pool_x.shape[0] / cfg.batch_unlabeled)))
     metrics = MetricsLog()
@@ -343,10 +344,9 @@ def run_pipeline(cfg) -> RunResult:
                         (pool_f0[idx_lu], pool_akc_w[idx_lu]),
                         rng=rng_noise, teacher=teacher,
                     )
-                    opt.step(target_model.params(), grads)
+                    opt.step(grads)
                     if teacher is not None:
-                        model.ema_update(teacher[0].params(),
-                                         target_model.params(), cfg.ema_alpha)
+                        model.ema_update(teacher_params, opt.params, cfg.ema_alpha)
                     for k in sums:
                         sums[k] += bd[k]
                 log_epoch(epoch, lr_at_epoch_start, sums)

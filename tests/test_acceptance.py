@@ -19,13 +19,12 @@ from akcarc.consistency import (
     akc_loss,
     akc_weights,
     arc_loss,
-    arc_select,
+    entropy_gate,
 )
 from akcarc.model import Classifier, LinearHead, MlpExtractor, ModelPair
 from akcarc.numerics import (
     median_sigmas,
     mmd2,
-    softmax_rows,
     sq_dist_blocks,
 )
 from akcarc.ssl_baselines import (
@@ -204,15 +203,13 @@ def test_criterion_3_gate_boundaries():
         w_full = akc_weights(source, x, np.log(5))
         assert np.all(w_full == 1.0)
 
-        preds = softmax_rows(pair.target.head.forward(feats))
+        logits = pair.target.head.forward(feats)
         prev = set()
         for eps in sorted(rng.uniform(0, np.log(3), size=4)):
-            idx, _ = arc_select(feats, preds, eps)
-            cur = set(idx.tolist())
+            cur = set(np.flatnonzero(entropy_gate(logits, eps)).tolist())
             assert prev <= cur
             prev = cur
-        idx_all, _ = arc_select(feats, preds, np.log(3))
-        assert len(idx_all) == x.shape[0]
+        assert entropy_gate(logits, np.log(3)).all()
     report(3, "gate boundaries", True, "(100 random batches)")
 
 
@@ -278,11 +275,11 @@ def test_criterion_5_schedule_and_optimizer():
     opt = SgdMomentum(p, eta0=0.1, total_steps=2)
     g = {"w": np.array([[1.5]])}
     # hand-unrolled: v1 = 1.5, p1 = 2 - 0.1*1.5; v2 = 0.9*1.5 + 1.5
-    opt.step(p, g)
+    opt.step(g)
     assert abs(p["w"][0, 0] - (2.0 - 0.1 * 1.5)) < 1e-12
     eta1 = 0.1 * np.cos(7 * np.pi * 1 / (16 * 2))
     expect = (2.0 - 0.1 * 1.5) - eta1 * (0.9 * 1.5 + 1.5)
-    opt.step(p, g)
+    opt.step(g)
     assert abs(p["w"][0, 0] - expect) < 1e-12
     report(5, "schedule and optimizer", True)
 

@@ -24,7 +24,7 @@ TINY = [
 class TestConfig:
     def test_method_flags(self):
         cfg = ExperimentConfig(method="akc+arc+pseudo_label")
-        assert cfg.use_akc and cfg.use_arc
+        assert {"akc", "arc"} <= set(cfg.method_parts())
         assert cfg.ssl_method() == "pseudo_label"
 
     def test_unknown_method_token(self):
@@ -49,6 +49,26 @@ class TestConfig:
             cfg.validate()
         with pytest.raises(ConfigError, match="eta0"):
             cfg.validate()
+
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", "5"), ("epochs", 1.5), ("batch_labeled", True), ("method", 5),
+        ("imprint_head", 1), ("lambda_k", True), ("lambda_r", "30"),
+        ("hidden_dims", (8, 0)), ("hidden_dims", [4.0]), ("task.seed", "0"),
+        ("task.cluster_std", None),
+    ])
+    def test_field_of_the_wrong_type_is_named(self, field, value):
+        cfg = ExperimentConfig()
+        if field.startswith("task."):
+            setattr(cfg.task, field[len("task."):], value)
+        else:
+            setattr(cfg, field, value)
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            cfg.validate()
+
+    def test_numbers_of_either_kind_fill_a_float_field(self):
+        cfg = ExperimentConfig(lambda_k=2, eta0=np.float64(0.01),
+                               seed=np.int64(1), hidden_dims=[8, 8])
+        assert cfg.validate() is cfg
 
     def test_json_round_trip(self, tmp_path):
         cfg = ExperimentConfig(method="akc", lambda_r=12.5, seed=3)
@@ -75,6 +95,11 @@ class TestConfig:
         assert cfg.lambda_r == 5.5
         assert cfg.task.cluster_std == 0.4
         assert cfg.method == "akc"
+
+    def test_override_parses_as_the_default_type(self):
+        # an int fills a float field, and an override of it may be fractional
+        cfg = ExperimentConfig(eps_r_scale=1).with_overrides(["eps_r_scale=0.5"])
+        assert cfg.eps_r_scale == 0.5
 
     def test_override_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -116,7 +141,8 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "assignment",
         ["epochs=1.5", "eta0=abc", "hidden_dims=[8,", "hidden_dims=8",
-         "lambda_r=-1"],
+         "lambda_r=-1", 'hidden_dims=["a"]', "hidden_dims=[8.5]",
+         "hidden_dims=[-3]", "hidden_dims=[0]"],
     )
     def test_bad_override_value_is_a_config_error(self, tmp_path, capsys,
                                                   assignment):
@@ -142,6 +168,27 @@ class TestRunCommand:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
+
+    @pytest.mark.parametrize("text,named", [
+        ('{"epochs": "5"}', "epochs"), ('{"epochs": 1.5}', "epochs"),
+        ('{"method": 5}', "method"), ('{"task": 3}', "task"),
+        ("[1, 2]", "c.json"), ('{"epochs": ', "c.json"),
+        ('{"config": 3, "metadata": {}}', "c.json"),
+    ])
+    def test_bad_config_file_is_a_config_error(self, tmp_path, capsys, text,
+                                               named):
+        p = tmp_path / "c.json"
+        p.write_text(text)
+        code = main(["run", "--config", str(p), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error") and named in err
+
+    def test_directory_as_config_file_is_a_config_error(self, tmp_path, capsys):
+        code = main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error") and str(tmp_path) in err
 
     def test_config_file_plus_override(self, tmp_path):
         p = tmp_path / "c.json"

@@ -9,8 +9,8 @@ from akcarc.consistency import (
     akc_loss,
     akc_weights,
     arc_loss,
-    arc_select,
     buffer_update_and_fetch,
+    entropy_gate,
 )
 from akcarc.errors import EmptyInput, InvalidInput, ShapeError
 
@@ -238,27 +238,30 @@ class TestReplayBuffer:
 
 
 class TestArcSelect:
+    """ARC's selection is the entropy gate on the target logits; the
+    probability rows p are passed as the logits log p."""
+
     def test_max_entropy_selects_all(self):
         rng = np.random.default_rng(6)
         f = rng.normal(size=(5, 3))
         p = rng.dirichlet(np.ones(4), size=5)
-        idx, rows = arc_select(f, p, np.log(4))
+        idx = np.flatnonzero(entropy_gate(np.log(p), np.log(4)))
         assert list(idx) == [0, 1, 2, 3, 4]
 
     def test_zero_eps_selects_none(self):
         rng = np.random.default_rng(7)
         f = rng.normal(size=(5, 3))
         p = rng.dirichlet(np.ones(4), size=5)
-        idx, rows = arc_select(f, p, 0.0)
-        assert idx.size == 0 and rows.shape == (0, 3)
+        selected = entropy_gate(np.log(p), 0.0)
+        assert not selected.any() and f[selected].shape == (0, 3)
 
     def test_threshold_keeps_order(self):
         f = np.arange(9.0).reshape(3, 3)
         # entropies ~ {0.056, 0.898, 0.325}
         p = np.array([[0.99, 0.01], [0.4, 0.6], [0.93, 0.07]])
-        idx, rows = arc_select(f, p, 0.5)
-        assert list(idx) == [0, 2]
-        np.testing.assert_array_equal(rows, f[[0, 2]])
+        selected = entropy_gate(np.log(p), 0.5)
+        assert list(np.flatnonzero(selected)) == [0, 2]
+        np.testing.assert_array_equal(f[selected], f[[0, 2]])
 
     def test_nested_in_eps(self):
         rng = np.random.default_rng(8)
@@ -266,9 +269,28 @@ class TestArcSelect:
             f = rng.normal(size=(8, 2))
             p = rng.dirichlet(np.ones(3), size=8)
             lo, hi = sorted(rng.uniform(0, np.log(3), size=2))
-            idx_lo, _ = arc_select(f, p, lo)
-            idx_hi, _ = arc_select(f, p, hi)
-            assert set(idx_lo) <= set(idx_hi)
+            assert np.all(entropy_gate(np.log(p), lo) <= entropy_gate(np.log(p), hi))
+
+
+class TestEntropyGate:
+    def test_akc_weights_are_the_gate_of_the_source_logits(self, small_pair):
+        x = np.random.default_rng(13).normal(size=(40, 5))
+        for eps in (0.0, 0.3, 0.7, np.log(4)):
+            w = akc_weights(small_pair.source, x, eps)
+            gate = entropy_gate(small_pair.source.forward(x), eps)
+            assert w.dtype == np.float64
+            np.testing.assert_array_equal(w, gate)
+
+    def test_arc_fractions_are_the_gate_means(self, small_pair):
+        rng = np.random.default_rng(14)
+        ext, head = small_pair.target.extractor, small_pair.target.head
+        f_l = ext.forward(rng.normal(size=(7, 5)))
+        f_u = ext.forward(rng.normal(size=(9, 5)))
+        z_l, z_u = head.forward(f_l), head.forward(f_u)
+        for eps in (0.0, 0.8, 1.0, np.log(3)):
+            _, _, frac_l, frac_u = arc_loss(f_l, f_u, z_l, z_u, eps, *fresh_buffers())
+            assert frac_l == entropy_gate(z_l, eps).mean()
+            assert frac_u == entropy_gate(z_u, eps).mean()
 
 
 def fresh_buffers(cap=32, k=16):
@@ -373,9 +395,5 @@ class TestArcLoss:
 
 def arc_loss_selected(pair, x, eps):
     """Reference re-selection: current-batch features that pass the gate."""
-    from akcarc.numerics import softmax_rows
-
     f = pair.target.extractor.forward(x)
-    p = softmax_rows(pair.target.head.forward(f))
-    idx, rows = arc_select(f, p, eps)
-    return rows
+    return f[entropy_gate(pair.target.head.forward(f), eps)]

@@ -63,16 +63,16 @@ class TestSgdMomentum:
             eta = 0.1 * np.cos(7 * np.pi * t / (16 * 4))
             ref_v = 0.9 * ref_v + 2.0
             ref_p -= eta * ref_v
-            opt.step(p, g)
+            opt.step(g)
             assert p["w"][0, 0] == pytest.approx(ref_p, abs=1e-14)
 
     def test_velocity_persists_across_steps(self):
         p = {"w": np.array([[0.0]])}
         opt = SgdMomentum(p, eta0=1.0, total_steps=100)
         zero_g = {"w": np.array([[0.0]])}
-        opt.step(p, {"w": np.array([[1.0]])})
+        opt.step({"w": np.array([[1.0]])})
         before = p["w"][0, 0]
-        opt.step(p, zero_g)  # coasting on momentum alone
+        opt.step(zero_g)  # coasting on momentum alone
         assert p["w"][0, 0] < before
 
 
