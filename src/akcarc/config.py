@@ -5,12 +5,12 @@ import dataclasses
 import json
 import numbers
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SyntheticTaskSpec, generate_task, load_csv
-from .errors import ConfigError, ParseError
+from .data import SyntheticTaskSpec
+from .errors import ConfigError
 
 METHOD_TOKENS = ("supervised", "akc", "arc", "pseudo_label", "mean_teacher")
 
@@ -101,42 +101,15 @@ class ExperimentConfig:
             ("pl_confidence", 0 < self.pl_confidence <= 1),
             ("ema_alpha", 0 <= self.ema_alpha < 1),
             ("noise_std", self.noise_std >= 0),
+            ("seed", self.seed >= 0),
+            ("task.seed", self.task.seed >= 0),
         ]
         bad = [name for name, ok in checks if not ok]
         if bad:
             raise ConfigError("invalid config fields: " + ", ".join(bad))
-        if not self.use_csv():
+        if not self.target_train_csv:
             self.task.validate()
         return self
-
-    # ------------------------------------------------------------------ data
-
-    def use_csv(self) -> bool:
-        return bool(self.target_train_csv)
-
-    def load_data(self):
-        """(source, target) SplitSets, synthetic unless CSV paths are set."""
-        if not self.use_csv():
-            task = replace(self.task, seed=self.task.seed + self.seed)
-            return generate_task(task)
-        if not (self.source_train_csv and self.target_test_csv):
-            raise ConfigError(
-                "CSV mode needs source_train_csv, target_train_csv and "
-                "target_test_csv"
-            )
-        source = load_csv(self.source_train_csv)
-        target = load_csv(self.target_train_csv)
-        test = load_csv(self.target_test_csv, label_map=target.label_map)
-        want = source.labeled_x.shape[1]
-        for path, split in ((self.target_train_csv, target),
-                            (self.target_test_csv, test)):
-            if split.labeled_x.shape[1] != want:
-                raise ParseError(
-                    f"{path} has {split.labeled_x.shape[1]} features but "
-                    f"{self.source_train_csv} has {want}"
-                )
-        target.test_x, target.test_y = test.labeled_x, test.labeled_y
-        return source, target
 
     # ------------------------------------------------------------- json i/o
 

@@ -1,5 +1,5 @@
 """Deterministic synthetic source-to-target transfer tasks, labeled/unlabeled
-splitting, and CSV ingestion.
+splitting, CSV ingestion, and `load_task`, which reads the data of a run.
 
 A task is a set of Gaussian clusters. Source clusters sit on mutually
 orthogonal unit directions; the target task reuses a subset of the source
@@ -50,6 +50,7 @@ class SplitSet:
     test_x: np.ndarray
     test_y: np.ndarray
     label_map: dict = field(default_factory=dict)
+    feature_names: tuple = ()  # a CSV file's feature columns; () if synthetic
 
     @property
     def n_classes(self) -> int:
@@ -156,7 +157,8 @@ def split_labeled(target: SplitSet, n: int, seed: int) -> SplitSet:
 
 def load_csv(path, label_map=None) -> SplitSet:
     """Read a header-bearing numeric CSV with an integer `label` column into
-    a fully labeled SplitSet.
+    a fully labeled SplitSet whose `feature_names` are the header's other
+    columns, in file order.
 
     Labels are remapped to dense 0..C-1; the mapping is recorded in
     `label_map` (original -> dense). A given `label_map` (e.g. that of the
@@ -172,43 +174,37 @@ def load_csv(path, label_map=None) -> SplitSet:
             raise ParseError(f"{path}: empty file") from None
         if "label" not in header:
             raise ParseError(f"{path}: no 'label' column in header")
-        label_idx = header.index("label")
+        j = header.index("label")
         rows, labels = [], []
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ParseError(
                     f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
                 )
-            feats = []
-            for col, cell in enumerate(row):
-                if col == label_idx:
+            try:
+                labels.append(int(row[j]))
+                rows.append([float(c) for c in row[:j] + row[j + 1:]])
+            except ValueError:  # name the first cell that does not parse
+                for col, cell in enumerate(row):
+                    parse, what = (int, "bad label") if col == j else (float, "non-numeric")
                     try:
-                        labels.append(int(cell))
+                        parse(cell)
                     except ValueError:
                         raise ParseError(
-                            f"{path}:{line_no}:{col + 1}: bad label {cell!r}"
-                        ) from None
-                    if label_map is not None and labels[-1] not in label_map:
-                        raise ParseError(
-                            f"{path}:{line_no}:{col + 1}: label {labels[-1]} "
-                            "is not among the training labels"
-                        )
-                else:
-                    try:
-                        feats.append(float(cell))
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}:{line_no}:{col + 1}: non-numeric {cell!r}"
-                        ) from None
-            rows.append(feats)
+                            f"{path}:{line_no}:{col + 1}: {what} {cell!r}") from None
+            if label_map is not None and labels[-1] not in label_map:
+                raise ParseError(
+                    f"{path}:{line_no}:{j + 1}: label {labels[-1]} "
+                    "is not among the training labels"
+                )
     if not rows:
         raise ParseError(f"{path}: no data rows")
     x = np.asarray(rows, dtype=np.float64)
     bad = np.argwhere(~np.isfinite(x))
     if bad.size:  # the first in file order; columns after the label shift by one
-        r, j = bad[0]
+        r, c = bad[0]
         raise ParseError(
-            f"{path}:{r + 2}:{j + (j >= label_idx) + 1}: non-finite value {x[r, j]}"
+            f"{path}:{r + 2}:{c + (c >= j) + 1}: non-finite value {x[r, c]}"
         )
     if label_map is None:
         label_map = {orig: dense for dense, orig in enumerate(sorted(set(labels)))}
@@ -218,6 +214,43 @@ def load_csv(path, label_map=None) -> SplitSet:
         labeled_x=x, labeled_y=y,
         unlabeled_x=np.zeros((0, dim)),
         test_x=np.zeros((0, dim)), test_y=np.zeros(0, dtype=int),
-        label_map=label_map,
+        label_map=label_map, feature_names=tuple(header[:j] + header[j + 1:]),
     )
 
+
+def load_task(cfg):
+    """(source, target) SplitSets of a run: the three CSV files of `cfg` if
+    it names a target training file, else its synthetic task offset by the
+    run seed. The CSV source and target training files need at least 2
+    classes, and the target files the source file's feature columns."""
+    if not cfg.target_train_csv:
+        return generate_task(replace(cfg.task, seed=cfg.task.seed + cfg.seed))
+    if not (cfg.source_train_csv and cfg.target_test_csv):
+        raise ConfigError(
+            "CSV mode needs source_train_csv, target_train_csv and "
+            "target_test_csv"
+        )
+    source = load_csv(cfg.source_train_csv)
+    target = load_csv(cfg.target_train_csv)
+    for path, split in ((cfg.source_train_csv, source), (cfg.target_train_csv, target)):
+        if len(split.label_map) < 2:
+            raise ParseError(
+                f"{path} has {len(split.label_map)} class; a run needs at least 2"
+            )
+    test = load_csv(cfg.target_test_csv, label_map=target.label_map)
+    want = source.feature_names
+    for path, split in ((cfg.target_train_csv, target), (cfg.target_test_csv, test)):
+        got = split.feature_names
+        if got == want:
+            continue
+        if len(got) != len(want):
+            raise ParseError(
+                f"{path} has {len(got)} features but "
+                f"{cfg.source_train_csv} has {len(want)}"
+            )
+        raise ParseError(
+            f"{path} has feature columns {list(got)} but "
+            f"{cfg.source_train_csv} has {list(want)}"
+        )
+    target.test_x, target.test_y = test.labeled_x, test.labeled_y
+    return source, target

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import consistency, model, ssl_baselines
 from .config import ExperimentConfig
-from .data import SplitSet, split_labeled
+from .data import SplitSet, load_task, split_labeled
 from .errors import ConfigError, EmptyInput, InvalidInput, ShapeError
 from .model import Classifier, LinearHead, MlpExtractor, ModelPair, imprint
 
@@ -263,7 +263,7 @@ def run_pipeline(cfg) -> RunResult:
     rngs = [np.random.default_rng(s) for s in seeds]
     rng_init_src, rng_pretrain, rng_init_tgt, rng_split, rng_train, rng_noise = rngs
 
-    source_set, target_set = cfg.load_data()
+    source_set, target_set = load_task(cfg)
     target_set = split_labeled(target_set, cfg.n_labeled,
                                int(rng_split.integers(2**31)))
 

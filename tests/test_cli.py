@@ -9,7 +9,9 @@ import pytest
 
 from akcarc.cli import main
 from akcarc.config import ExperimentConfig
+from akcarc.data import SyntheticTaskSpec, generate_task, load_task
 from akcarc.errors import ConfigError
+from akcarc.training import run_pipeline
 
 
 TINY = [
@@ -110,8 +112,8 @@ class TestConfig:
             ExperimentConfig().with_overrides(["lambda_r"])
 
     def test_seed_offsets_task_data(self):
-        a = ExperimentConfig(seed=1).load_data()
-        b = ExperimentConfig(seed=2).load_data()
+        a = load_task(ExperimentConfig(seed=1))
+        b = load_task(ExperimentConfig(seed=2))
         assert not np.array_equal(a[1].labeled_x, b[1].labeled_x)
 
 
@@ -142,7 +144,7 @@ class TestRunCommand:
         "assignment",
         ["epochs=1.5", "eta0=abc", "hidden_dims=[8,", "hidden_dims=8",
          "lambda_r=-1", 'hidden_dims=["a"]', "hidden_dims=[8.5]",
-         "hidden_dims=[-3]", "hidden_dims=[0]"],
+         "hidden_dims=[-3]", "hidden_dims=[0]", "seed=-1", "task.seed=-5"],
     )
     def test_bad_override_value_is_a_config_error(self, tmp_path, capsys,
                                                   assignment):
@@ -151,6 +153,36 @@ class TestRunCommand:
         assert code == 2
         assert "config error" in err and assignment.partition("=")[0] in err
         assert "Traceback" not in err
+
+    def test_negative_run_seed_is_a_config_error(self, tmp_path, capsys):
+        assert main(["run", "--out", str(tmp_path / "x"), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "config error: invalid config fields: seed\n"
+        with pytest.raises(ConfigError, match="^invalid config fields: seed$"):
+            run_pipeline(ExperimentConfig(seed=-1))
+
+    def test_csv_run_writes_its_files_and_reruns_byte_identically(self, tmp_path):
+        source, target = generate_task(
+            SyntheticTaskSpec(source_train=300, target_train=200, target_test=150))
+        argv = ["run", "--out", str(tmp_path / "run"), "--seed", "1",
+                "--set", "source_epochs=2", "--set", "epochs=1"]
+        for field, x, y in [("source_train_csv", source.labeled_x, source.labeled_y),
+                            ("target_train_csv", target.labeled_x, target.labeled_y),
+                            ("target_test_csv", target.test_x, target.test_y)]:
+            path = tmp_path / f"{field}.csv"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow([f"f{i}" for i in range(x.shape[1])] + ["label"])
+                writer.writerows([*map(repr, row), lab] for row, lab in zip(x.tolist(), y))
+            argv += ["--set", f"{field}={path}"]
+        runs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            run = tmp_path / "run"
+            runs.append({name: (run / name).read_bytes() for name in os.listdir(run)})
+        assert sorted(runs[0]) == [
+            "config.json", "metrics.csv", "metrics.json",
+            "source_model.npz", "target_model.npz"]
+        assert runs[0] == runs[1]
 
     def test_diverging_run_names_its_step(self, tmp_path, capsys):
         out = str(tmp_path / "x")

@@ -9,6 +9,7 @@ from akcarc.data import (
     _plane_rotation,
     generate_task,
     load_csv,
+    load_task,
     split_labeled,
 )
 from akcarc.config import ExperimentConfig
@@ -179,7 +180,7 @@ class TestCsv:
         cfg = ExperimentConfig(source_train_csv=str(src),
                                target_train_csv=str(train),
                                target_test_csv=str(test))
-        _, target = cfg.load_data()
+        _, target = load_task(cfg)
         assert set(target.labeled_y.tolist()) == {0, 1, 2}
         assert target.test_y.tolist() == [1, 2, 1]
 
@@ -195,7 +196,7 @@ class TestCsv:
                                target_train_csv=str(paths["train"]),
                                target_test_csv=str(paths["test"]))
         with pytest.raises(ParseError) as exc:
-            cfg.load_data()
+            load_task(cfg)
         msg = str(exc.value)
         assert str(paths[wide]) in msg and str(paths["src"]) in msg
         assert "2 features" in msg and "has 1" in msg
@@ -212,7 +213,61 @@ class TestCsv:
                                target_train_csv=str(paths["train"]),
                                target_test_csv=str(paths["test"]))
         with pytest.raises(ParseError, match=rf"{bad}\.csv:3:3: non-finite value {value}$"):
-            cfg.load_data()
+            load_task(cfg)
+
+    @pytest.mark.parametrize("changed,header", [
+        ("train", "f1,f0"), ("test", "f1,f0"), ("train", "f0,g1"), ("test", "g0,f1")])
+    def test_feature_names_mismatch_names_both_files(self, tmp_path, changed, header):
+        paths = {n: tmp_path / f"{n}.csv" for n in ("src", "train", "test")}
+        for name, p in paths.items():
+            names = header if name == changed else "f0,f1"
+            p.write_text(f"{names},label\n1.0,0.5,0\n2.0,0.5,1\n")
+        cfg = ExperimentConfig(source_train_csv=str(paths["src"]),
+                               target_train_csv=str(paths["train"]),
+                               target_test_csv=str(paths["test"]))
+        with pytest.raises(ParseError) as exc:
+            load_task(cfg)
+        assert str(exc.value) == (
+            f"{paths[changed]} has feature columns {header.split(',')} but "
+            f"{paths['src']} has ['f0', 'f1']")
+
+    @pytest.mark.parametrize("single", ["src", "train"])
+    def test_single_class_file_is_named(self, tmp_path, single):
+        paths = {n: tmp_path / f"{n}.csv" for n in ("src", "train", "test")}
+        for name, p in paths.items():
+            p.write_text("f0,label\n1.0,7\n2.0,7\n" if name == single
+                         else "f0,label\n1.0,7\n2.0,8\n")
+        cfg = ExperimentConfig(source_train_csv=str(paths["src"]),
+                               target_train_csv=str(paths["train"]),
+                               target_test_csv=str(paths["test"]))
+        with pytest.raises(ParseError) as exc:
+            load_task(cfg)
+        assert str(exc.value) == f"{paths[single]} has 1 class; a run needs at least 2"
+
+    def test_unusual_valid_cells_read_as_python_reads_them(self, tmp_path):
+        cells = ["1_0", " 1.5 ", "+.5", "-0", "1e-400", "\uff11"]
+        p = tmp_path / "d.csv"
+        header = ",".join(f"f{i}" for i in range(len(cells)))
+        p.write_text(f"{header},label\n{','.join(cells)}, 3 \n", encoding="utf-8")
+        loaded = load_csv(p)
+        assert loaded.labeled_x.tobytes() == np.array([[float(c) for c in cells]]).tobytes()
+        assert loaded.label_map == {int(" 3 "): 0}
+
+    @pytest.mark.parametrize("row,fault", [
+        ("x,1,0.5", "3:1: non-numeric 'x'"),
+        ("1.0,one,0.5", "3:2: bad label 'one'"),
+        ("1.0,1,y", "3:3: non-numeric 'y'"),
+        ("1.0,9,0.5", "3:2: label 9 is not among the training labels"),
+        ("x,one,y", "3:1: non-numeric 'x'"),
+        # a cell that does not parse wins over an unknown label before it
+        ("1.0,9,y", "3:3: non-numeric 'y'"),
+    ])
+    def test_first_fault_of_a_row_is_named(self, tmp_path, row, fault):
+        p = tmp_path / "d.csv"
+        p.write_text(f"f0,label,f1\n1.0,0,0.5\n{row}\n")
+        with pytest.raises(ParseError) as exc:
+            load_csv(p, label_map={0: 0, 1: 1})
+        assert str(exc.value) == f"{p}:{fault}"
 
     def test_test_label_outside_training_labels_rejected(self, tmp_path):
         p = tmp_path / "test.csv"
