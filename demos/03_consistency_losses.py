@@ -14,7 +14,7 @@ import numpy as np
 
 from akcarc.config import ExperimentConfig
 from akcarc.consistency import (
-    ReplayBuffer,
+    ArcState,
     akc_loss,
     akc_weights,
     arc_loss,
@@ -59,8 +59,7 @@ v0, _, _ = akc_loss(f0, f0, w, "mse")
 print(f"with theta == theta0 the penalty is exactly {v0}")
 
 # --- ARC -------------------------------------------------------------
-buf_l = ReplayBuffer(capacity=64, k=64)
-buf_u = ReplayBuffer(capacity=64, k=64)
+state = ArcState(capacity=64, k=64)
 x_l = rng.normal(size=(6, 8))
 x_u = rng.normal(size=(10, 8)) + 0.3  # slightly shifted unlabeled stream
 head = pair.target.head
@@ -69,11 +68,11 @@ print("\nARC over three steps (buffers fill up):")
 for step in range(3):
     f_l, f_u = tgt_ext.forward(x_l), tgt_ext.forward(x_u)
     v, (d_l, d_u), frac_l, frac_u = arc_loss(
-        f_l, f_u, head.forward(f_l), head.forward(f_u), np.log(3), buf_l, buf_u
+        f_l, f_u, head.forward(f_l), head.forward(f_u), np.log(3), state
     )
     print(f"  step {step}: R_R = {v:.5f}, selected "
           f"{frac_l:.2f} labeled / {frac_u:.2f} unlabeled, "
-          f"buffers hold {len(buf_l)}/{len(buf_u)} rows")
+          f"buffers hold {len(state.buf_l)}/{len(state.buf_u)} rows")
 
 # the penalty is the MMD of the fetched sets; equal sets give zero
 f = tgt_ext.forward(x_l)

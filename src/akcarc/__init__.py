@@ -9,7 +9,7 @@ and pseudo-label / mean-teacher baselines.
 """
 
 from .config import ExperimentConfig
-from .consistency import ReplayBuffer, akc_loss, arc_loss
+from .consistency import ArcState, ReplayBuffer, akc_loss, arc_loss
 from .data import SplitSet, SyntheticTaskSpec, generate_task, split_labeled
 from .model import Classifier, LinearHead, MlpExtractor, ModelPair, imprint
 from .numerics import mmd2
@@ -19,7 +19,7 @@ from .training import MetricsLog, cosine_lr, run_pipeline, total_loss
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExperimentConfig", "ReplayBuffer", "akc_loss", "arc_loss",
+    "ExperimentConfig", "ArcState", "ReplayBuffer", "akc_loss", "arc_loss",
     "SplitSet", "SyntheticTaskSpec", "generate_task", "split_labeled",
     "Classifier", "LinearHead", "MlpExtractor", "ModelPair", "imprint",
     "mmd2", "cross_entropy_loss",

@@ -39,6 +39,17 @@ def _load_config(args) -> ExperimentConfig:
     return cfg.validate()
 
 
+def _make_dir(path: str):
+    """Create the directory `path` and its parents. A path that cannot be a
+    directory (an existing file, a path under a file, no permission) is a
+    ConfigError naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out_dir: cannot create directory {path!r}: "
+                          f"{exc.strerror}") from None
+
+
 def execute_run(cfg: ExperimentConfig):
     """Run one pipeline and persist metrics, config, and checkpoints into
     `cfg.default_out_dir()`.
@@ -47,7 +58,7 @@ def execute_run(cfg: ExperimentConfig):
     message) in its directory instead, and the error propagates.
     """
     out_dir = cfg.default_out_dir()
-    os.makedirs(out_dir, exist_ok=True)
+    _make_dir(out_dir)
     try:
         result = run_pipeline(cfg)
     except AkcArcError as exc:
@@ -95,7 +106,7 @@ def _run_grid(cfg: ExperimentConfig, seeds: int, cells):
     if seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {seeds}")
     root = cfg.default_out_dir()
-    os.makedirs(root, exist_ok=True)
+    _make_dir(root)
     accs, failed = [], False
     for prefix, overrides in cells:
         finished = []

@@ -3,6 +3,7 @@ parsing, dotted-path overrides, and validation with field-path diagnostics."""
 
 import dataclasses
 import json
+import math
 import numbers
 import os
 from dataclasses import dataclass, field
@@ -92,7 +93,8 @@ class ExperimentConfig:
             ("akc_mode", self.akc_mode in ("mse", "kl")),
             ("buffer_capacity", self.buffer_capacity >= 1),
             ("buffer_k", self.buffer_k >= 1),
-            ("eta0", self.eta0 > 0),
+            ("eta0", math.isfinite(self.eta0) and self.eta0 > 0),
+            ("source_eta0", math.isfinite(self.source_eta0) and self.source_eta0 > 0),
             ("epochs", self.epochs >= 0),
             ("source_epochs", self.source_epochs >= 0),
             ("batch_labeled", self.batch_labeled >= 1),

@@ -6,7 +6,9 @@ features that returns its value and its gradient w.r.t. those features.
 AKC penalizes divergence between frozen-source and target extractor
 features on confidently recognized inputs. ARC penalizes MMD between the
 representation distributions of confidently predicted labeled and
-unlabeled examples, stabilized by replay buffers of recent selections.
+unlabeled examples, stabilized by replay buffers of recent selections;
+`ArcState` carries the buffers and the pair distances of their windows
+from step to step.
 """
 
 import numpy as np
@@ -14,13 +16,13 @@ import numpy as np
 from .errors import EmptyInput, InvalidInput, ShapeError
 from .numerics import (
     LOG_CLAMP,
+    PairPool,
     as_tensor2,
     entropy_rows,
     median_sigmas,
     mmd2_value_grad,
     softmax_backward,
     softmax_rows,
-    sq_dist_blocks,
 )
 
 
@@ -113,16 +115,30 @@ def buffer_update_and_fetch(buf: ReplayBuffer, new_rows) -> np.ndarray:
     return buf.get_last_k()
 
 
-def arc_loss(f_l, f_u, logits_l, logits_u, eps_r, buf_l, buf_u):
+class ArcState:
+    """What ARC carries from step to step: the labeled and unlabeled replay
+    buffers and the squared distances among the rows of their windows.
+
+    A buffer serves only its last k rows, so each window holds at most
+    w = min(capacity, k) rows, and `pairs` is a `PairPool` of that size.
+    """
+
+    def __init__(self, capacity: int, k: int):
+        self.buf_l = ReplayBuffer(capacity, k)
+        self.buf_u = ReplayBuffer(capacity, k)
+        self.pairs = PairPool(min(capacity, k))
+
+
+def arc_loss(f_l, f_u, logits_l, logits_u, eps_r, state: ArcState):
     """Representation-consistency penalty between labeled and unlabeled streams.
 
     Rows of the features `f_l`, `f_u` whose matching logits pass the
-    entropy gate at eps_r are pushed into the per-stream replay buffers;
-    the MMD is computed on the fetched recent-k sets. Gradients flow only
-    through current-batch selected rows (buffered rows are detached). If
-    either fetched set has fewer than 2 rows the loss is 0 with zero
-    gradient. Returns (value, (dR/df_l, dR/df_u), labeled_fraction,
-    unlabeled_fraction).
+    entropy gate at eps_r are pushed into the per-stream replay buffers of
+    `state`, and their distances into its pair pool; the MMD is computed on
+    the fetched recent-k sets. Gradients flow only through current-batch
+    selected rows (buffered rows are detached). If either fetched set has
+    fewer than 2 rows the loss is 0 with zero gradient. Returns (value,
+    (dR/df_l, dR/df_u), labeled_fraction, unlabeled_fraction).
 
     The bandwidths come from the median-distance heuristic on the fetched
     sets and are constants with respect to the gradient.
@@ -133,20 +149,20 @@ def arc_loss(f_l, f_u, logits_l, logits_u, eps_r, buf_l, buf_u):
     frac_l = len(idx_l) / max(f_l.shape[0], 1)
     frac_u = len(idx_u) / max(f_u.shape[0], 1)
 
-    star_l = buffer_update_and_fetch(buf_l, f_l[idx_l])
-    star_u = buffer_update_and_fetch(buf_u, f_u[idx_u])
+    star_l = buffer_update_and_fetch(state.buf_l, f_l[idx_l])
+    star_u = buffer_update_and_fetch(state.buf_u, f_u[idx_u])
+    # current-batch rows are the newest pushes, i.e. the tail of the fetched
+    # set; only they carry gradients back into the extractor
+    n_l = min(len(idx_l), star_l.shape[0])
+    n_u = min(len(idx_u), star_u.shape[0])
+    state.pairs.push(star_l, star_u, (n_l, n_u))
 
     d_f_l, d_f_u = np.zeros_like(f_l), np.zeros_like(f_u)
     if star_l.shape[0] < 2 or star_u.shape[0] < 2:
         return 0.0, (d_f_l, d_f_u), frac_l, frac_u
 
-    blocks = sq_dist_blocks(star_l, star_u)
-    sigmas = median_sigmas(blocks)
-    # current-batch rows are the newest pushes, i.e. the tail of the fetched
-    # set; only they carry gradients back into the extractor
-    n_l = min(len(idx_l), star_l.shape[0])
-    n_u = min(len(idx_u), star_u.shape[0])
-    value, d_l, d_u = mmd2_value_grad(star_l, star_u, sigmas, blocks, (n_l, n_u))
+    sigmas = median_sigmas(state.pairs)
+    value, d_l, d_u = mmd2_value_grad(star_l, star_u, sigmas, state.pairs, (n_l, n_u))
     d_f_l[idx_l[len(idx_l) - n_l:]] = d_l
     d_f_u[idx_u[len(idx_u) - n_u:]] = d_u
     return float(value), (d_f_l, d_f_u), frac_l, frac_u

@@ -100,7 +100,7 @@ def sample_batches(labeled: BatchSampler, unlabeled: BatchSampler):
 
 
 def total_loss(target: Classifier, x_l, y_l, x_u, cfg: ExperimentConfig,
-               buf_l, buf_u, source, rng=None, teacher=None):
+               arc, source, rng=None, teacher=None):
     """Composite objective: L_CE + lambda_S L_S + lambda_K R_K + lambda_R R_R.
 
     The active terms, their weights, the AKC mode, the pseudo-label
@@ -109,8 +109,9 @@ def total_loss(target: Classifier, x_l, y_l, x_u, cfg: ExperimentConfig,
     mean teacher, the noisy student view of x_u), sums the terms' gradients
     w.r.t. logits and features, and backpropagates once. `source` is (frozen
     source features, AKC gate weights) of the rows [x_l; x_u], computed once
-    per pool at set-up. `teacher` is (EMA teacher model, absolute
-    input-noise std) for mean teacher.
+    per pool at set-up. `arc` is the run's `consistency.ArcState`.
+    `teacher` is (EMA teacher model, absolute input-noise std) for mean
+    teacher.
 
     Returns (scalar, grads dict over target params, breakdown dict). The
     breakdown maps each of STEP_COLUMNS to its raw term value or ARC gate
@@ -164,7 +165,7 @@ def total_loss(target: Classifier, x_l, y_l, x_u, cfg: ExperimentConfig,
     if use_arc:
         v_r, (d_rl, d_ru), frac_rl, frac_ru = consistency.arc_loss(
             feats[:n_l], feats[n_l:n_lu], logits[:n_l], logits[n_l:n_lu],
-            cfg.eps_r(target.head.n_classes), buf_l, buf_u,
+            cfg.eps_r(target.head.n_classes), arc,
         )
         breakdown["loss_arc"] = v_r
         breakdown["arc_labeled_fraction"] = frac_rl
@@ -222,19 +223,29 @@ def accuracy(classifier: Classifier, x, y) -> float:
 def train_supervised(classifier: Classifier, x, y, epochs: int, batch_size: int,
                      eta0: float, rng):
     """Plain cross-entropy training of `classifier` in place (used for
-    source pre-training)."""
+    source pre-training).
+
+    An InvalidInput raised by a step (the logits of a diverging run are not
+    finite) is re-raised with "epoch E, step S: " in front of its message,
+    and numpy's overflow warnings are kept off stderr, as in fine-tuning."""
     n = x.shape[0]
     steps_per_epoch = max(1, int(np.ceil(n / batch_size)))
     total = steps_per_epoch * max(epochs, 1)
     opt = SgdMomentum(classifier.params(), eta0, total)
     sampler = BatchSampler(n, min(batch_size, n), rng)
-    for _ in range(epochs * steps_per_epoch):
-        idx = sampler.next()
-        acts = classifier.extractor.activations(x[idx])
-        _, d_logits = ssl_baselines.cross_entropy_loss(
-            classifier.head.forward(acts[-1]), y[idx]
-        )
-        opt.step(classifier.backward(acts, d_logits))
+    epoch = step = 0
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(1, epochs + 1):
+                for step in range(1, steps_per_epoch + 1):
+                    idx = sampler.next()
+                    acts = classifier.extractor.activations(x[idx])
+                    _, d_logits = ssl_baselines.cross_entropy_loss(
+                        classifier.head.forward(acts[-1]), y[idx]
+                    )
+                    opt.step(classifier.backward(acts, d_logits))
+    except InvalidInput as exc:
+        raise InvalidInput(f"epoch {epoch}, step {step}: {exc}") from exc
 
 
 @dataclass
@@ -276,10 +287,13 @@ def run_pipeline(cfg) -> RunResult:
         MlpExtractor(dims, rng_init_src),
         LinearHead(c_s, cfg.feature_dim, rng_init_src),
     )
-    train_supervised(
-        src, source_set.labeled_x, source_set.labeled_y,
-        cfg.source_epochs, cfg.batch_labeled, cfg.source_eta0, rng_pretrain,
-    )
+    try:
+        train_supervised(
+            src, source_set.labeled_x, source_set.labeled_y,
+            cfg.source_epochs, cfg.batch_labeled, cfg.source_eta0, rng_pretrain,
+        )
+    except InvalidInput as exc:
+        raise InvalidInput(f"source pre-training, {exc}") from exc
 
     tgt_ext = copy.deepcopy(src.extractor)
     tgt_head = LinearHead(c_t, cfg.feature_dim, rng_init_tgt)
@@ -295,8 +309,7 @@ def run_pipeline(cfg) -> RunResult:
     pool_akc_w = consistency.akc_weights(pair.source.head, pool_f0, cfg.eps_k(c_s))
     akc_pool_fraction = float(pool_akc_w.mean())
 
-    buf_l = consistency.ReplayBuffer(cfg.buffer_capacity, cfg.buffer_k)
-    buf_u = consistency.ReplayBuffer(cfg.buffer_capacity, cfg.buffer_k)
+    arc = consistency.ArcState(cfg.buffer_capacity, cfg.buffer_k)
 
     teacher = None
     if cfg.ssl_method() == "mean_teacher":
@@ -340,7 +353,7 @@ def run_pipeline(cfg) -> RunResult:
                     x_u = pool_x[idx_u]
                     idx_lu = np.concatenate([idx_l, idx_u])
                     _, grads, bd = total_loss(
-                        target_model, x_l, y_l, x_u, cfg, buf_l, buf_u,
+                        target_model, x_l, y_l, x_u, cfg, arc,
                         (pool_f0[idx_lu], pool_akc_w[idx_lu]),
                         rng=rng_noise, teacher=teacher,
                     )

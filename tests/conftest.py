@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from akcarc import consistency
-from akcarc.consistency import akc_weights
+from akcarc.consistency import ArcState, akc_weights, arc_loss
 from akcarc.model import Classifier, LinearHead, MlpExtractor, ModelPair
 
 
@@ -50,7 +50,17 @@ def term_grads(model, x, term):
 def hold_sigmas(monkeypatch, sigmas):
     """Make `arc_loss` use the bandwidths `sigmas` in place of the median
     heuristic, so a finite difference sees them as constants."""
-    monkeypatch.setattr(consistency, "median_sigmas", lambda blocks: list(sigmas))
+    monkeypatch.setattr(consistency, "median_sigmas", lambda pairs: list(sigmas))
+
+
+def seeded_arc(capacity, rows_l, rows_u):
+    """An `ArcState` of buffers of `capacity` rows (k = capacity) holding
+    rows_l and rows_u, pushed as a step pushes its selections: one-class
+    logits have entropy 0, so every row passes the gate."""
+    state = ArcState(capacity, capacity)
+    arc_loss(rows_l, rows_u, np.zeros((len(rows_l), 1)),
+             np.zeros((len(rows_u), 1)), 0.0, state)
+    return state
 
 
 def frozen_source(pair, x_l, x_u, cfg):

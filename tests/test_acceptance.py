@@ -39,7 +39,13 @@ from akcarc.training import (
     total_loss,
 )
 
-from conftest import assert_grads_match, frozen_source, hold_sigmas, term_grads
+from conftest import (
+    assert_grads_match,
+    frozen_source,
+    hold_sigmas,
+    seeded_arc,
+    term_grads,
+)
 from oracles import brute_force_mmd2
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -128,17 +134,15 @@ def test_criterion_2_gradient_suite(monkeypatch):
             picks=2,
         )
 
-    seed_l, seed_u = ReplayBuffer(64, 64), ReplayBuffer(64, 64)
-    seed_l.update(rng.normal(size=(6, 32)))
-    seed_u.update(rng.normal(size=(6, 32)))
+    seed = seeded_arc(64, rng.normal(size=(6, 32)), rng.normal(size=(6, 32)))
     hold_sigmas(monkeypatch, [1.0, 2.0])
 
     def arc_call():
-        bl, bu = copy.deepcopy(seed_l), copy.deepcopy(seed_u)
+        state = copy.deepcopy(seed)
 
         def arc_term(f, z):
             value, (d_l, d_u), _, _ = arc_loss(f[:6], f[6:], z[:6], z[6:],
-                                               np.log(4), bl, bu)
+                                               np.log(4), state)
             return value, None, np.vstack([d_l, d_u])
 
         return term_grads(target, np.vstack([x_l, x_u]), arc_term)
@@ -171,8 +175,7 @@ def test_criterion_2_gradient_suite(monkeypatch):
     source_lu = frozen_source(pair, x_l, x_u, cfg)
 
     def composite():
-        bl, bu = copy.deepcopy(seed_l), copy.deepcopy(seed_u)
-        return total_loss(target, x_l, y_l, x_u, cfg, bl, bu, source_lu)
+        return total_loss(target, x_l, y_l, x_u, cfg, copy.deepcopy(seed), source_lu)
 
     _, g, _ = composite()
     assert_grads_match(params, g, lambda: composite()[0], picks=2)
@@ -244,17 +247,15 @@ def test_criterion_4_replay_buffer(monkeypatch):
     for w in pair.target.extractor.weights:
         w += rng.normal(0, 0.05, size=w.shape)
     x_l, x_u = rng.normal(size=(5, 5)), rng.normal(size=(6, 5))
-    seed_l, seed_u = ReplayBuffer(32, 32), ReplayBuffer(32, 32)
-    seed_l.update(rng.normal(size=(4, 3)))
-    seed_u.update(rng.normal(size=(4, 3)))
+    seed = seeded_arc(32, rng.normal(size=(4, 3)), rng.normal(size=(4, 3)))
     hold_sigmas(monkeypatch, [1.0])
 
     def call():
-        bl, bu = copy.deepcopy(seed_l), copy.deepcopy(seed_u)
+        state = copy.deepcopy(seed)
 
         def arc_term(f, z):
             value, (d_l, d_u), _, _ = arc_loss(f[:5], f[5:], z[:5], z[5:],
-                                               np.log(3), bl, bu)
+                                               np.log(3), state)
             return value, None, np.vstack([d_l, d_u])
 
         return term_grads(pair.target, np.vstack([x_l, x_u]), arc_term)

@@ -154,6 +154,44 @@ class TestRunCommand:
         assert "config error" in err and assignment.partition("=")[0] in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field", ["eta0", "source_eta0"])
+    @pytest.mark.parametrize("value", ["0", "-0.5", "nan", "inf"])
+    def test_learning_rate_must_be_finite_and_positive(self, tmp_path, capsys,
+                                                       field, value):
+        code = main(["run", "--out", str(tmp_path / "x"), "--set", f"{field}={value}"])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: invalid config fields: {field}\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_diverging_source_pre_training_names_its_step(self, tmp_path, capsys):
+        out = str(tmp_path / "x")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--out", out] + TINY + ["--set", "source_eta0=1e6"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        match = re.fullmatch(r"error: (source pre-training, epoch 1, step \d+: "
+                             r"logits contains NaN/Inf)\n", err)
+        assert match
+        with open(os.path.join(out, "error.json")) as fh:
+            assert json.load(fh) == {"type": "InvalidInput", "message": match[1]}
+
+    @pytest.mark.parametrize("command", [
+        ["run"], ["sweep", "--axis", "eps_r", "--values", "0.5", "--seeds", "1"],
+    ])
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-a-file"])
+    def test_out_that_cannot_be_a_directory_is_a_config_error(
+            self, tmp_path, capsys, command, under):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        out = str(blocker / under) if under else str(blocker)
+        code = main(command + ["--out", out] + TINY)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"config error: out_dir: cannot create directory {out!r}: ")
+        assert blocker.read_text() == "not a directory"
+
     def test_negative_run_seed_is_a_config_error(self, tmp_path, capsys):
         assert main(["run", "--out", str(tmp_path / "x"), "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "config error: invalid config fields: seed\n"

@@ -1,10 +1,13 @@
 import copy
+import math
 
 import numpy as np
 import pytest
 
-from akcarc import numerics
+from akcarc import consistency, numerics
+from akcarc.config import ExperimentConfig
 from akcarc.consistency import (
+    ArcState,
     ReplayBuffer,
     akc_loss,
     akc_weights,
@@ -13,6 +16,7 @@ from akcarc.consistency import (
     entropy_gate,
 )
 from akcarc.errors import EmptyInput, InvalidInput, ShapeError
+from akcarc.training import run_pipeline
 
 from conftest import assert_grads_match, hold_sigmas, term_grads
 
@@ -37,21 +41,21 @@ def akc_term(pair, x, eps_k, mode="mse", weights=None):
     return term
 
 
-def arc_on(pair, x_l, x_u, eps_r, buf_l, buf_u):
+def arc_on(pair, x_l, x_u, eps_r, state):
     """arc_loss on the target features and logits of x_l and x_u."""
     ext, head = pair.target.extractor, pair.target.head
     f_l, f_u = ext.forward(x_l), ext.forward(x_u)
     return arc_loss(f_l, f_u, head.forward(f_l), head.forward(f_u),
-                    eps_r, buf_l, buf_u)
+                    eps_r, state)
 
 
-def arc_term(n_l, eps_r, buf_l, buf_u):
+def arc_term(n_l, eps_r, state):
     """The ARC term of the stacked rows [x_l; x_u], for `term_grads`."""
 
     def term(features, logits):
         value, (d_l, d_u), _, _ = arc_loss(
             features[:n_l], features[n_l:], logits[:n_l], logits[n_l:],
-            eps_r, buf_l, buf_u,
+            eps_r, state,
         )
         return value, None, np.vstack([d_l, d_u])
 
@@ -288,52 +292,46 @@ class TestEntropyGate:
         f_u = ext.forward(rng.normal(size=(9, 5)))
         z_l, z_u = head.forward(f_l), head.forward(f_u)
         for eps in (0.0, 0.8, 1.0, np.log(3)):
-            _, _, frac_l, frac_u = arc_loss(f_l, f_u, z_l, z_u, eps, *fresh_buffers())
+            _, _, frac_l, frac_u = arc_loss(f_l, f_u, z_l, z_u, eps, fresh_state())
             assert frac_l == entropy_gate(z_l, eps).mean()
             assert frac_u == entropy_gate(z_u, eps).mean()
 
 
-def fresh_buffers(cap=32, k=16):
-    from akcarc.consistency import ReplayBuffer
-
-    return ReplayBuffer(cap, k), ReplayBuffer(cap, k)
+def fresh_state(cap=32, k=16):
+    return ArcState(cap, k)
 
 
 class TestArcLoss:
     def test_identical_selected_sets_zero(self, small_pair):
         x = np.random.default_rng(9).normal(size=(6, 5))
-        buf_l, buf_u = fresh_buffers()
-        v, _, fl, fu = arc_on(
-            small_pair, x, x.copy(), np.log(3), buf_l, buf_u
-        )
+        v, _, fl, fu = arc_on(small_pair, x, x.copy(), np.log(3), fresh_state())
         assert v == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_selection_skips(self, small_pair, micro_batch):
         x_l, _, x_u = micro_batch
-        buf_l, buf_u = fresh_buffers()
-        v, d_fs, fl, fu = arc_on(small_pair, x_l, x_u, 0.0, buf_l, buf_u)
+        v, d_fs, fl, fu = arc_on(small_pair, x_l, x_u, 0.0, fresh_state())
         assert v == 0.0 and fl == 0.0 and fu == 0.0
         assert all(np.all(d == 0) for d in d_fs)
 
     def test_matches_mmd_oracle_on_buffered_sets(self, small_pair, monkeypatch):
         rng = np.random.default_rng(10)
-        buf_l, buf_u = fresh_buffers()
+        state = fresh_state()
         # pre-populate buffers, then check the loss equals mmd2 recomputed
         # on the fetched sets
         warm_l = rng.normal(size=(5, 5)) + 2.0
         warm_u = rng.normal(size=(5, 5)) - 2.0
-        arc_on(small_pair, warm_l, warm_u, np.log(3), buf_l, buf_u)
+        arc_on(small_pair, warm_l, warm_u, np.log(3), state)
         x_l = rng.normal(size=(4, 5))
         x_u = rng.normal(size=(4, 5))
-        snap_l, snap_u = copy.deepcopy(buf_l), copy.deepcopy(buf_u)
+        snap = copy.deepcopy(state)
         sigmas = [0.9, 2.1]
         hold_sigmas(monkeypatch, sigmas)
-        v, _, _, _ = arc_on(small_pair, x_l, x_u, np.log(3), buf_l, buf_u)
+        v, _, _, _ = arc_on(small_pair, x_l, x_u, np.log(3), state)
         star_l = buffer_update_and_fetch(
-            snap_l, arc_loss_selected(small_pair, x_l, np.log(3))
+            snap.buf_l, arc_loss_selected(small_pair, x_l, np.log(3))
         )
         star_u = buffer_update_and_fetch(
-            snap_u, arc_loss_selected(small_pair, x_u, np.log(3))
+            snap.buf_u, arc_loss_selected(small_pair, x_u, np.log(3))
         )
         assert v == pytest.approx(numerics.mmd2(star_l, star_u, sigmas), abs=1e-10)
 
@@ -341,18 +339,17 @@ class TestArcLoss:
                                                      monkeypatch):
         x_l, _, x_u = micro_batch
         rng = np.random.default_rng(11)
-        buf_l, buf_u = fresh_buffers()
+        state = fresh_state()
         arc_on(
             small_pair, rng.normal(size=(5, 5)), rng.normal(size=(5, 5)),
-            np.log(3), buf_l, buf_u,
+            np.log(3), state,
         )
         hold_sigmas(monkeypatch, [1.0, 2.0])
         eps = np.log(3)  # select everything: gate flips cannot perturb the fd
         x = np.vstack([x_l, x_u])
 
         def call():
-            term = arc_term(len(x_l), eps, copy.deepcopy(buf_l),
-                            copy.deepcopy(buf_u))
+            term = arc_term(len(x_l), eps, copy.deepcopy(state))
             return term_grads(small_pair.target, x, term)
 
         v, grads = call()
@@ -370,15 +367,14 @@ class TestArcLoss:
         rng = np.random.default_rng(12)
         x_l = rng.normal(size=(4, 5))
         x_u = rng.normal(size=(4, 5))
-        buf_l, buf_u = fresh_buffers()
+        state = fresh_state()
         arc_on(small_pair, rng.normal(size=(6, 5)), rng.normal(size=(6, 5)),
-               np.log(3), buf_l, buf_u)
+               np.log(3), state)
         hold_sigmas(monkeypatch, [1.5])
         x = np.vstack([x_l, x_u])
 
         def call():
-            term = arc_term(len(x_l), np.log(3), copy.deepcopy(buf_l),
-                            copy.deepcopy(buf_u))
+            term = arc_term(len(x_l), np.log(3), copy.deepcopy(state))
             return term_grads(small_pair.target, x, term)
 
         _, grads = call()
@@ -397,3 +393,101 @@ def arc_loss_selected(pair, x, eps):
     """Reference re-selection: current-batch features that pass the gate."""
     f = pair.target.extractor.forward(x)
     return f[entropy_gate(pair.target.head.forward(f), eps)]
+
+
+class RebuildCheck:
+    """Stands in for `consistency.mmd2_value_grad` and compares every step's
+    pool kernel with a fresh full rebuild of the same fetched sets: the
+    blocks of `sq_dist_blocks`, their median sigmas, and the blocks kernel.
+    Keeps the worst relative difference of the sigmas, the value and each
+    gradient."""
+
+    def __init__(self, monkeypatch):
+        self.kernel = numerics.mmd2_value_grad
+        self.worst = dict.fromkeys(("sigmas", "value", "d_l", "d_u"), 0.0)
+        self.calls = 0
+        monkeypatch.setattr(consistency, "mmd2_value_grad", self)
+
+    @staticmethod
+    def rel(got, ref):
+        got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+        assert got.shape == ref.shape
+        if not ref.size:
+            return 0.0
+        return float(np.abs(got - ref).max() / max(np.abs(ref).max(), 1e-300))
+
+    def __call__(self, v, u, sigmas, pairs, tail):
+        assert isinstance(pairs, numerics.PairPool)
+        blocks = numerics.sq_dist_blocks(v, u)
+        ref_sigmas = numerics.median_sigmas(blocks)
+        ref = self.kernel(v, u, ref_sigmas, blocks, tail)
+        got = self.kernel(v, u, sigmas, pairs, tail)
+        for key, a, b in zip(self.worst, (sigmas,) + got, (ref_sigmas,) + ref):
+            self.worst[key] = max(self.worst[key], self.rel(a, b))
+        self.calls += 1
+        return got
+
+
+def open_gate(rows):
+    """One-class logits: entropy 0, so every row passes ARC's gate."""
+    return np.zeros((len(rows), 1))
+
+
+class TestPairPool:
+    def test_matches_a_full_rebuild_over_a_default_run(self, monkeypatch):
+        check = RebuildCheck(monkeypatch)
+        cfg = ExperimentConfig(method="akc+arc", seed=0)
+        res = run_pipeline(cfg)
+        pool = len(res.target_split.labeled_x) + len(res.target_split.unlabeled_x)
+        assert check.calls == cfg.epochs * math.ceil(pool / cfg.batch_unlabeled)
+        assert max(check.worst.values()) <= 1e-12, check.worst
+        assert res.metrics.records[-1]["loss_arc"] > 0
+
+    @pytest.mark.parametrize("capacity,k", [(6, 6), (9, 5), (4, 7)],
+                             ids=["equal", "k-below-capacity", "capacity-below-k"])
+    def test_scripted_stream_matches_a_full_rebuild(self, monkeypatch, capacity, k):
+        # fill, eviction, empty pushes, pushes larger than the window, and
+        # windows under 2 rows, whose distances the pool must still keep
+        pushes = [(1, 0), (0, 1), (0, 2), (3, 0), (2, 2), (0, 0), (9, 1),
+                  (1, 8), (2, 3), (0, 0), (5, 5), (1, 0), (12, 12), (3, 4)]
+        w = min(capacity, k)
+        check = RebuildCheck(monkeypatch)
+        state = ArcState(capacity, k)
+        rng = np.random.default_rng(capacity * 10 + k)
+        seen_l = seen_u = 0
+        skipped = 0
+        for p_l, p_u in pushes:
+            f_l = rng.normal(size=(p_l, 3)) + 0.5
+            f_u = rng.normal(size=(p_u, 3))
+            calls = check.calls
+            value, (d_l, d_u), _, _ = arc_loss(f_l, f_u, open_gate(f_l), open_gate(f_u),
+                                               0.0, state)
+            seen_l, seen_u = seen_l + p_l, seen_u + p_u
+            fill = (min(seen_l, w), min(seen_u, w))
+            assert state.pairs.fill == fill
+            if min(fill) < 2:
+                skipped += 1
+                assert check.calls == calls and value == 0.0
+                assert not d_l.any() and not d_u.any()
+            else:
+                assert check.calls == calls + 1
+                # rows beyond the window carry no gradient
+                assert not d_l[:max(p_l - w, 0)].any()
+                assert not d_u[:max(p_u - w, 0)].any()
+        assert skipped >= 3 and check.calls >= 8
+        assert max(check.worst.values()) <= 1e-12, check.worst
+
+    def test_pool_must_follow_its_windows(self):
+        pool = numerics.PairPool(4)
+        rng = np.random.default_rng(0)
+        v, u = rng.normal(size=(3, 2)), rng.normal(size=(2, 2))
+        pool.push(v, u, (3, 2))
+        with pytest.raises(ShapeError):
+            pool.push(v[:2], u, (0, 0))  # a window never shrinks
+        with pytest.raises(ShapeError):
+            pool.push(rng.normal(size=(4, 2)), u, (0, 0))  # a grown window has new rows
+        sigmas = numerics.median_sigmas(pool)
+        with pytest.raises(ShapeError):
+            numerics.mmd2_value_grad(v, u, sigmas, pool, (1, 2))  # not the pushed tail
+        with pytest.raises(ShapeError):
+            numerics.mmd2_value_grad(v, u[:1], sigmas, pool, (3, 1))  # not the pushed rows

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from akcarc.config import ExperimentConfig
-from akcarc.consistency import ReplayBuffer
+from akcarc.consistency import ArcState
 from akcarc import training
 from akcarc.errors import ConfigError, EmptyInput, InvalidInput
 from akcarc.model import Classifier, LinearHead, MlpExtractor
@@ -21,7 +21,13 @@ from akcarc.training import (
     total_loss,
 )
 
-from conftest import assert_grads_match, frozen_source, hold_sigmas, term_grads
+from conftest import (
+    assert_grads_match,
+    frozen_source,
+    hold_sigmas,
+    seeded_arc,
+    term_grads,
+)
 
 
 class TestCosineLr:
@@ -119,8 +125,7 @@ class TestTotalLoss:
         x_l, y_l, x_u = self.make_inputs()
         cfg = self.loss_cfg(method="akc+arc", lambda_k=2.0, lambda_r=5.0,
                             lambda_s=1.0)
-        buf_l, buf_u = ReplayBuffer(64, 64), ReplayBuffer(64, 64)
-        value, _, bd = total_loss(small_pair.target, x_l, y_l, x_u, cfg, buf_l, buf_u,
+        value, _, bd = total_loss(small_pair.target, x_l, y_l, x_u, cfg, ArcState(64, 64),
                                   frozen_source(small_pair, x_l, x_u, cfg))
         assert tuple(bd) == STEP_COLUMNS
         assert set(STEP_COLUMNS) <= set(METRICS_COLUMNS)
@@ -131,7 +136,7 @@ class TestTotalLoss:
         x_l, y_l, x_u = self.make_inputs()
         cfg = self.loss_cfg(method="supervised")
         value, grads, bd = total_loss(
-            small_pair.target, x_l, y_l, x_u, cfg, ReplayBuffer(256, 256), ReplayBuffer(256, 256),
+            small_pair.target, x_l, y_l, x_u, cfg, ArcState(256, 256),
             frozen_source(small_pair, x_l, x_u, cfg),
         )
         v_ce, g_ce = term_grads(
@@ -147,17 +152,14 @@ class TestTotalLoss:
         x_l, y_l, x_u = self.make_inputs()
         cfg = self.loss_cfg(method="akc+arc", lambda_k=1.0, lambda_r=3.0,
                             lambda_s=0.0)
-        seed_l, seed_u = ReplayBuffer(64, 64), ReplayBuffer(64, 64)
         rng = np.random.default_rng(31)
-        seed_l.update(rng.normal(size=(5, 3)))
-        seed_u.update(rng.normal(size=(5, 3)))
+        seed = seeded_arc(64, rng.normal(size=(5, 3)), rng.normal(size=(5, 3)))
         hold_sigmas(monkeypatch, [0.5, 1.0, 2.0])
         source = frozen_source(small_pair, x_l, x_u, cfg)
 
         def call():
-            bl, bu = copy.deepcopy(seed_l), copy.deepcopy(seed_u)
-            return total_loss(small_pair.target, x_l, y_l, x_u, cfg, bl, bu,
-                              source)
+            return total_loss(small_pair.target, x_l, y_l, x_u, cfg,
+                              copy.deepcopy(seed), source)
 
         _, grads, _ = call()
         assert_grads_match(
@@ -169,7 +171,7 @@ class TestTotalLoss:
         cfg = self.loss_cfg(method="pseudo_label", lambda_s=0.5,
                             pl_confidence=0.0)
         value, _, bd = total_loss(
-            small_pair.target, x_l, y_l, x_u, cfg, ReplayBuffer(256, 256), ReplayBuffer(256, 256),
+            small_pair.target, x_l, y_l, x_u, cfg, ArcState(256, 256),
             frozen_source(small_pair, x_l, x_u, cfg),
         )
         assert bd["loss_ssl"] > 0
