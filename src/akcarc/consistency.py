@@ -120,13 +120,15 @@ class ArcState:
     buffers and the squared distances among the rows of their windows.
 
     A buffer serves only its last k rows, so each window holds at most
-    w = min(capacity, k) rows, and `pairs` is a `PairPool` of that size.
+    w = min(capacity, k) rows: each buffer keeps w rows, and `pairs` is a
+    `PairPool` of that size.
     """
 
     def __init__(self, capacity: int, k: int):
-        self.buf_l = ReplayBuffer(capacity, k)
-        self.buf_u = ReplayBuffer(capacity, k)
-        self.pairs = PairPool(min(capacity, k))
+        w = min(capacity, k)
+        self.buf_l = ReplayBuffer(w, k)
+        self.buf_u = ReplayBuffer(w, k)
+        self.pairs = PairPool(w)
 
 
 def arc_loss(f_l, f_u, logits_l, logits_u, eps_r, state: ArcState):

@@ -164,39 +164,53 @@ def load_csv(path, label_map=None) -> SplitSet:
     `label_map` (original -> dense). A given `label_map` (e.g. that of the
     training file, when reading its test file) is used instead, and a label
     outside it is a ParseError, and so is a non-finite cell (nan, inf).
-    Parse failures report line and column.
+    Parse failures report line and column. A file that cannot be read or
+    is not UTF-8 text, or a header with no column besides `label`, is a
+    ParseError naming the file.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return _parse_csv(path, csv.reader(fh), label_map)
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x}") from None
+
+
+def _parse_csv(path, reader, label_map) -> SplitSet:
+    """The SplitSet of `load_csv`, read from the rows of a csv reader."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file") from None
+    if "label" not in header:
+        raise ParseError(f"{path}: no 'label' column in header")
+    if len(header) < 2:
+        raise ParseError(f"{path}: no feature column besides 'label'")
+    j = header.index("label")
+    rows, labels = [], []
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise ParseError(
+                f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
+            )
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if "label" not in header:
-            raise ParseError(f"{path}: no 'label' column in header")
-        j = header.index("label")
-        rows, labels = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                labels.append(int(row[j]))
-                rows.append([float(c) for c in row[:j] + row[j + 1:]])
-            except ValueError:  # name the first cell that does not parse
-                for col, cell in enumerate(row):
-                    parse, what = (int, "bad label") if col == j else (float, "non-numeric")
-                    try:
-                        parse(cell)
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}:{line_no}:{col + 1}: {what} {cell!r}") from None
-            if label_map is not None and labels[-1] not in label_map:
-                raise ParseError(
-                    f"{path}:{line_no}:{j + 1}: label {labels[-1]} "
-                    "is not among the training labels"
-                )
+            labels.append(int(row[j]))
+            rows.append([float(c) for c in row[:j] + row[j + 1:]])
+        except ValueError:  # name the first cell that does not parse
+            for col, cell in enumerate(row):
+                parse, what = (int, "bad label") if col == j else (float, "non-numeric")
+                try:
+                    parse(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}:{line_no}:{col + 1}: {what} {cell!r}") from None
+        if label_map is not None and labels[-1] not in label_map:
+            raise ParseError(
+                f"{path}:{line_no}:{j + 1}: label {labels[-1]} "
+                "is not among the training labels"
+            )
     if not rows:
         raise ParseError(f"{path}: no data rows")
     x = np.asarray(rows, dtype=np.float64)

@@ -51,34 +51,10 @@ def entropy_rows(p: np.ndarray) -> np.ndarray:
 # distances and MMD
 
 
-def _sq_dists(a, aa, b, bb) -> np.ndarray:
-    """Pairwise squared euclidean distances, rows of a vs rows of b, given
-    the squared row norms aa of a and bb of b."""
-    d2 = aa[:, None] + bb[None, :] - 2.0 * a @ b.T
+def _sq_dists(a, b) -> np.ndarray:
+    """Pairwise squared euclidean distances, rows of a vs rows of b."""
+    d2 = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * a @ b.T
     return np.maximum(d2, 0.0, out=d2)
-
-
-def _check_mmd_inputs(v, u):
-    v, u = as_tensor2(v), as_tensor2(u)
-    if v.shape[0] == 0 or u.shape[0] == 0:
-        raise EmptyInput("mmd2 requires at least one row per set")
-    if v.shape[1] != u.shape[1]:
-        raise ShapeError(f"dim mismatch: {v.shape[1]} vs {u.shape[1]}")
-    return v, u
-
-
-def sq_dist_blocks(v, u):
-    """The three distinct blocks (vv, uu, vu) of the squared distances among
-    the pooled rows [v; u]. The fourth block, uv, is vu transposed."""
-    v, u = _check_mmd_inputs(v, u)
-    nv, nu = (v * v).sum(axis=1), (u * u).sum(axis=1)
-    return _sq_dists(v, nv, v, nv), _sq_dists(u, nu, u, nu), _sq_dists(v, nv, u, nu)
-
-
-def _check_blocks(blocks, m, n):
-    shapes = tuple(b.shape for b in blocks)
-    if shapes != ((m, m), (n, n), (m, n)):
-        raise ShapeError(f"distance blocks are {shapes}, expected {((m, m), (n, n), (m, n))}")
 
 
 def mmd2(v, u, sigmas) -> float:
@@ -87,7 +63,12 @@ def mmd2(v, u, sigmas) -> float:
     Per bandwidth: mean_ij k(v_i, v_j) + mean_ij k(u_i, u_j)
     - 2 mean_ij k(v_i, u_j). Zero when the two sets are equal multisets.
     """
-    dvv, duu, dvu = sq_dist_blocks(v, u)
+    v, u = as_tensor2(v), as_tensor2(u)
+    if v.shape[0] == 0 or u.shape[0] == 0:
+        raise EmptyInput("mmd2 requires at least one row per set")
+    if v.shape[1] != u.shape[1]:
+        raise ShapeError(f"dim mismatch: {v.shape[1]} vs {u.shape[1]}")
+    dvv, duu, dvu = _sq_dists(v, v), _sq_dists(u, u), _sq_dists(v, u)
     total = 0.0
     for s in sigmas:
         if s <= 0:
@@ -104,86 +85,34 @@ def mmd2(v, u, sigmas) -> float:
 def mmd2_value_grad(v, u, sigmas, pairs, tail):
     """mmd2 together with its gradients w.r.t. the last rows of v and of u.
 
-    `pairs` holds the squared distances: a `PairPool` whose last push was
-    `push(v, u, tail)` (the step), or `sq_dist_blocks(v, u)` (a full
-    rebuild, which the tests compare the pool against). `tail = (tv, tu)`
-    asks for the gradients of the last tv rows of v and the last tu rows of
-    u; the value always covers every pair. Sigmas are treated as constants
-    (no gradient through a bandwidth heuristic). Returns (value, dv, du)
-    with dv, du shaped like v[m - tv:], u[n - tu:].
+    `pairs` is the `PairPool` whose last push was `push(v, u, tail)`; it
+    holds the squared distances and the rows. `tail = (tv, tu)` asks for
+    the gradients of the last tv rows of v and the last tu rows of u; the
+    value always covers every pair. Sigmas are treated as constants (no
+    gradient through a bandwidth heuristic). Returns (value, dv, du) with
+    dv, du shaped like v[m - tv:], u[n - tu:].
 
     Bandwidths are taken from largest to smallest. One that is exactly half
     the one before it takes its kernel as the previous kernel to the 4th
     power (gamma = 1 / (2 sigma^2) grows 4x); any other takes one exp.
     """
-    v, u = _check_mmd_inputs(v, u)
-    m, n = v.shape[0], u.shape[0]
-    tv, tu = tail
-    if not (0 <= tv <= m and 0 <= tu <= n):
-        raise ShapeError(f"tail {(tv, tu)} outside the {(m, n)} rows")
     sigmas = sorted(sigmas, reverse=True)
     if sigmas and sigmas[-1] <= 0:
         raise InvalidInput(f"sigma must be > 0, got {sigmas[-1]}")
-    if isinstance(pairs, PairPool):
-        return pairs._value_grad(m, n, sigmas, (tv, tu))
-    _check_blocks(pairs, m, n)
-    # The gradient is linear in each kernel matrix: sum c * K over the
-    # bandwidths first (d k(x, y) / dx = c * k * (y - x), with
-    # c = 1 / sigma^2), only over the rows and columns of the tail, then
-    # multiply once. wvu holds the vu rows of the v tail, wuv the vu
-    # columns of the u tail.
-    wvv, wuu = np.zeros((tv, m)), np.zeros((tu, n))
-    wvu, wuv = np.zeros((tv, n)), np.zeros((m, tu))
-    value = 0.0
-    for blk, sign, parts in (
-        (pairs[0], 1.0, ((wvv, np.s_[m - tv:]),)),
-        (pairs[1], 1.0, ((wuu, np.s_[n - tu:]),)),
-        (pairs[2], -2.0, ((wvu, np.s_[m - tv:]), (wuv, np.s_[:, n - tu:]))),
-    ):
-        k = np.empty_like(blk)
-        prev = None
-        for s in sigmas:
-            g = 1.0 / (2.0 * s * s)
-            if prev == 2.0 * s:
-                k *= k
-                k *= k
-            else:
-                np.exp(np.multiply(blk, -g, out=k), out=k)
-            prev = s
-            value += sign * k.mean()
-            for w, rows in parts:
-                w += (2.0 * g) * k[rows]
-    vt, ut = v[m - tv:], u[n - tu:]
-    # within-set terms (1/m^2) sum_ij k(v_i, v_j): both arguments vary;
-    # cross term -(2/(m n)) sum_ij k(v_i, u_j)
-    dv = (2.0 / (m * m)) * (wvv @ v - wvv.sum(axis=1)[:, None] * vt)
-    dv -= (2.0 / (m * n)) * (wvu @ u - wvu.sum(axis=1)[:, None] * vt)
-    du = (2.0 / (n * n)) * (wuu @ u - wuu.sum(axis=1)[:, None] * ut)
-    du -= (2.0 / (m * n)) * (wuv.T @ v - wuv.sum(axis=0)[:, None] * ut)
-    return float(value), dv, du
+    return pairs._value_grad(v.shape[0], u.shape[0], sigmas, tail)
 
 
 def median_sigmas(pairs):
     """Bandwidths [0.5, 1, 2] times the median pairwise distance among the
-    pooled rows [v; u], each pair once: the within-set pairs of v and of u
-    and every pair between them. `pairs` is a `PairPool` (the step) or
-    `sq_dist_blocks(v, u)`, read through the strict upper triangles of vv
-    and uu plus all of vu.
+    pooled rows [v; u] of the last push into the `PairPool` `pairs`, each
+    pair once: the within-set pairs of v and of u and every pair between
+    them.
 
     Falls back to sigma = 1 when the median distance is zero. Equals
-    np.median(np.sqrt(pairs)) exactly: sqrt is monotone, so one partition of
-    the squared distances finds the middle pair.
+    np.median(np.sqrt(pairs.d2)) exactly: sqrt is monotone, so one
+    partition of the squared distances finds the middle pair.
     """
-    if isinstance(pairs, PairPool):
-        x = pairs.d2.copy()
-    else:
-        m, n = pairs[0].shape[0], pairs[1].shape[0]
-        _check_blocks(pairs, m, n)
-        x = np.concatenate([
-            pairs[0][~np.tri(m, m, 0, dtype=bool)],
-            pairs[1][~np.tri(n, n, 0, dtype=bool)],
-            pairs[2].ravel(),
-        ])
+    x = pairs.d2.copy()
     med = 0.0
     if x.size:
         k = x.size // 2

@@ -1,9 +1,16 @@
 import copy
+import os
 
-import numpy as np
+# One BLAS thread unless the caller chose, set before numpy loads, so the
+# timed acceptance gates do not depend on how many cores a shared host
+# lends; the demo and benchmark subprocesses inherit it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
-from akcarc import consistency
+from akcarc import consistency, numerics
 from akcarc.consistency import ArcState, akc_weights, arc_loss
 from akcarc.model import Classifier, LinearHead, MlpExtractor, ModelPair
 
@@ -51,6 +58,17 @@ def hold_sigmas(monkeypatch, sigmas):
     """Make `arc_loss` use the bandwidths `sigmas` in place of the median
     heuristic, so a finite difference sees them as constants."""
     monkeypatch.setattr(consistency, "median_sigmas", lambda pairs: list(sigmas))
+
+
+def pushed_pool(v, u, tail):
+    """A fresh `PairPool` filled as a step fills it: a first push of the
+    rows outside tail = (tv, tu), then the windows v and u whose last tv
+    and tu rows are new."""
+    (m, n), (tv, tu) = (len(v), len(u)), tail
+    pool = numerics.PairPool(max(m, n))
+    pool.push(v[:m - tv], u[:n - tu], (m - tv, n - tu))
+    pool.push(v, u, tail)
+    return pool
 
 
 def seeded_arc(capacity, rows_l, rows_u):

@@ -22,11 +22,7 @@ from akcarc.consistency import (
     entropy_gate,
 )
 from akcarc.model import Classifier, LinearHead, MlpExtractor, ModelPair
-from akcarc.numerics import (
-    median_sigmas,
-    mmd2,
-    sq_dist_blocks,
-)
+from akcarc.numerics import PairPool, median_sigmas, mmd2
 from akcarc.ssl_baselines import (
     cross_entropy_loss,
     mean_teacher_loss,
@@ -374,7 +370,9 @@ def test_criterion_9_arc_mechanism():
             ext = res.pair.target.extractor
             f_l = ext.forward(split.labeled_x)
             f_u = ext.forward(split.unlabeled_x)
-            vals.append(mmd2(f_l, f_u, median_sigmas(sq_dist_blocks(f_l, f_u))))
+            pool = PairPool(max(len(f_l), len(f_u)))
+            pool.push(f_l, f_u, (len(f_l), len(f_u)))
+            vals.append(mmd2(f_l, f_u, median_sigmas(pool)))
         wins += vals[1] < vals[0]
         details.append(f"{vals[0]:.4f}->{vals[1]:.4f}")
     report(9, "arc mechanism", wins == len(SEEDS),

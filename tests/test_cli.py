@@ -134,6 +134,37 @@ class TestRunCommand:
         blobs = [open(os.path.join(o, "metrics.csv"), "rb").read() for o in outs]
         assert blobs[0] == blobs[1]
 
+    def test_buffer_capacity_beyond_k_changes_nothing(self, tmp_path):
+        # only the last buffer_k rows of a buffer are ever fetched
+        blobs = []
+        for capacity in (256, 100000):
+            out = str(tmp_path / f"c{capacity}")
+            assert main(["run", "--out", out] + TINY + [
+                "--set", "method=arc", "--set", "epochs=3", "--set", "eps_r_scale=1",
+                "--set", f"buffer_capacity={capacity}"]) == 0
+            blobs.append(open(os.path.join(out, "metrics.csv"), "rb").read())
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "label-only"])
+    def test_unreadable_csv_is_a_parse_error_named_in_error_json(self, tmp_path, capsys,
+                                                                case):
+        path = tmp_path / "src.csv"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not-utf8":
+            path.write_bytes(b"f0,label\n\xff,0\n")
+        elif case == "label-only":
+            path.write_text("label\n0\n1\n")
+        out = tmp_path / "run"
+        code = main(["run", "--out", str(out), "--set", f"source_train_csv={path}",
+                     "--set", f"target_train_csv={path}", "--set", f"target_test_csv={path}"])
+        assert code == 1
+        with open(out / "error.json") as fh:
+            error = json.load(fh)
+        assert error["type"] == "ParseError"
+        assert error["message"].startswith(f"{path}: ")
+        assert capsys.readouterr().err == f"error: {error['message']}\n"
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = main(["run", "--out", str(tmp_path / "x"),
                      "--set", "method=magic"])

@@ -19,6 +19,7 @@ from akcarc.errors import EmptyInput, InvalidInput, ShapeError
 from akcarc.training import run_pipeline
 
 from conftest import assert_grads_match, hold_sigmas, term_grads
+from oracles import dense_median_sigmas, dense_mmd2_value_grad
 
 
 def akc_on(pair, x, eps_k, mode="mse", weights=None):
@@ -301,6 +302,19 @@ def fresh_state(cap=32, k=16):
     return ArcState(cap, k)
 
 
+class TestArcState:
+    def test_buffers_hold_no_more_than_the_window(self):
+        # a buffer serves only its last k rows, so it keeps only those
+        state = ArcState(100000, 5)
+        rng = np.random.default_rng(0)
+        seen = 0
+        for p in (3, 0, 8, 2, 12):
+            f = rng.normal(size=(p, 3))
+            arc_loss(f, f + 1.0, open_gate(f), open_gate(f), 0.0, state)
+            seen += p
+            assert len(state.buf_l) == len(state.buf_u) == min(seen, 5)
+
+
 class TestArcLoss:
     def test_identical_selected_sets_zero(self, small_pair):
         x = np.random.default_rng(9).normal(size=(6, 5))
@@ -397,10 +411,10 @@ def arc_loss_selected(pair, x, eps):
 
 class RebuildCheck:
     """Stands in for `consistency.mmd2_value_grad` and compares every step's
-    pool kernel with a fresh full rebuild of the same fetched sets: the
-    blocks of `sq_dist_blocks`, their median sigmas, and the blocks kernel.
-    Keeps the worst relative difference of the sigmas, the value and each
-    gradient."""
+    pool kernel with the dense oracle on the same fetched sets: the numpy
+    median sigmas of their pair distances, and the value and gradients of
+    every row at those sigmas. Keeps the worst relative difference of the
+    sigmas, the value and each tail gradient."""
 
     def __init__(self, monkeypatch):
         self.kernel = numerics.mmd2_value_grad
@@ -417,10 +431,9 @@ class RebuildCheck:
         return float(np.abs(got - ref).max() / max(np.abs(ref).max(), 1e-300))
 
     def __call__(self, v, u, sigmas, pairs, tail):
-        assert isinstance(pairs, numerics.PairPool)
-        blocks = numerics.sq_dist_blocks(v, u)
-        ref_sigmas = numerics.median_sigmas(blocks)
-        ref = self.kernel(v, u, ref_sigmas, blocks, tail)
+        ref_sigmas = dense_median_sigmas(v, u)
+        value, dv, du = dense_mmd2_value_grad(v, u, ref_sigmas)
+        ref = (value, dv[len(v) - tail[0]:], du[len(u) - tail[1]:])
         got = self.kernel(v, u, sigmas, pairs, tail)
         for key, a, b in zip(self.worst, (sigmas,) + got, (ref_sigmas,) + ref):
             self.worst[key] = max(self.worst[key], self.rel(a, b))

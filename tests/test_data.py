@@ -293,6 +293,25 @@ class TestCsv:
         with pytest.raises(ParseError, match="expected 3 fields"):
             load_csv(p)
 
+    @pytest.mark.parametrize("case,reason", [
+        ("missing", "cannot read: No such file or directory"),
+        ("directory", "cannot read: Is a directory"),
+        ("not-utf8", "not UTF-8 text: byte 0xff"),
+        ("label-only", "no feature column besides 'label'"),
+    ], ids=["missing", "directory", "not-utf8", "label-only"])
+    def test_file_that_gives_no_features_names_itself_and_the_reason(self, tmp_path,
+                                                                      case, reason):
+        p = tmp_path / "d.csv"
+        if case == "directory":
+            p.mkdir()
+        elif case == "not-utf8":
+            p.write_bytes(b"f0,label\n1.\xff,0\n")
+        elif case == "label-only":
+            p.write_text("label\n0\n1\n")
+        with pytest.raises(ParseError) as exc:
+            load_csv(p)
+        assert str(exc.value) == f"{p}: {reason}"
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("")

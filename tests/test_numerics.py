@@ -7,7 +7,8 @@ from akcarc import numerics
 from akcarc.consistency import akc_loss
 from akcarc.errors import EmptyInput, InvalidInput, ShapeError
 
-from oracles import brute_force_mmd2, rbf_kernel
+from conftest import pushed_pool
+from oracles import brute_force_mmd2, pair_sq_dists, rbf_kernel
 
 
 class TestSoftmax:
@@ -111,10 +112,20 @@ class TestRbfKernel:
             rbf_kernel([0.0], [1.0], 0.0)
 
 
+def tail_value_grad(v, u, sig, tail):
+    """mmd2_value_grad of a fresh pool whose last push made `tail` new."""
+    return numerics.mmd2_value_grad(v, u, sig, pushed_pool(v, u, tail), tail)
+
+
 def full_value_grad(v, u, sig):
     """mmd2_value_grad with the gradients of every row of v and of u."""
-    return numerics.mmd2_value_grad(v, u, sig, numerics.sq_dist_blocks(v, u),
-                                    (v.shape[0], u.shape[0]))
+    return tail_value_grad(v, u, sig, (len(v), len(u)))
+
+
+def pool_sigmas(v, u):
+    """median_sigmas of a fresh pool whose last push made one row of each
+    set new."""
+    return numerics.median_sigmas(pushed_pool(v, u, (1, 1)))
 
 
 class TestMmd2:
@@ -136,9 +147,11 @@ class TestMmd2:
             m, n, d = rng.integers(1, 17), rng.integers(1, 17), rng.integers(1, 9)
             v, u = rng.normal(size=(m, d)), rng.normal(size=(n, d))
             sigmas = list(rng.uniform(0.3, 3.0, size=rng.integers(1, 4)))
-            assert numerics.mmd2(v, u, sigmas) == pytest.approx(
-                brute_force_mmd2(v, u, sigmas), abs=1e-10
-            )
+            expect = brute_force_mmd2(v, u, sigmas)
+            assert numerics.mmd2(v, u, sigmas) == pytest.approx(expect, abs=1e-10)
+            if m >= 2 and n >= 2:
+                value, _, _ = full_value_grad(v, u, sigmas)
+                assert value == pytest.approx(expect, abs=1e-10)
 
     def test_symmetry_and_permutation_invariance(self):
         rng = np.random.default_rng(4)
@@ -203,33 +216,27 @@ class TestMedianSigmas:
     def test_scales_with_median(self):
         v = np.array([[0.0], [0.0]])
         u = np.array([[2.0], [2.0]])
-        sig = numerics.median_sigmas(numerics.sq_dist_blocks(v, u))
-        assert sig == [1.0, 2.0, 4.0]
+        assert pool_sigmas(v, u) == [1.0, 2.0, 4.0]
 
     def test_zero_median_fallback(self):
         v = np.zeros((3, 2))
-        assert numerics.median_sigmas(numerics.sq_dist_blocks(v, v.copy()))[1] == 1.0
+        assert pool_sigmas(v, v.copy())[1] == 1.0
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 2), (256, 256)])
     def test_equals_numpy_median_of_pair_distances(self, m, n):
         # pairs among p = m + n rows: 1 and 3 (odd), 6, 10 and 130816 (even)
         rng = np.random.default_rng(m * 100 + n)
         v, u = rng.normal(size=(m, 5)), rng.normal(size=(n, 5))
-        vv, uu, vu = numerics.sq_dist_blocks(v, u)
-        pooled = np.block([[vv, vu], [vu.T, uu]])
-        med = np.median(np.sqrt(pooled[np.triu_indices(m + n, 1)]))
-        assert numerics.median_sigmas((vv, uu, vu)) == [0.5 * med, med, 2.0 * med]
-
-    def test_non_square_matrix_rejected(self):
-        vv, uu, vu = numerics.sq_dist_blocks(np.zeros((4, 2)), np.ones((3, 2)))
-        for bad in ((vv[:, :2], uu, vu), (vv, uu, vu.T), (vv, uu[:2], vu)):
-            with pytest.raises(ShapeError):
-                numerics.median_sigmas(bad)
+        pool = pushed_pool(v, u, (1, 1))
+        # the pool holds each pair once, as the dense oracle has them
+        expect = pair_sq_dists(v, u)[np.triu_indices(m + n, 1)]
+        np.testing.assert_allclose(np.sort(pool.d2), np.sort(expect), rtol=0, atol=1e-12)
+        med = np.median(np.sqrt(pool.d2))
+        assert numerics.median_sigmas(pool) == [0.5 * med, med, 2.0 * med]
 
     def test_fallback_is_scaled_by_factors(self):
         v = np.ones((2, 3))
-        blocks = numerics.sq_dist_blocks(v, v.copy())
-        assert numerics.median_sigmas(blocks) == [0.5, 1.0, 2.0]
+        assert pool_sigmas(v, v.copy()) == [0.5, 1.0, 2.0]
 
 
 class TestMmd2ValueGradPooled:
@@ -242,11 +249,8 @@ class TestMmd2ValueGradPooled:
 
     def test_wrong_distance_shape_rejected(self):
         v, u = np.zeros((2, 2)), np.ones((3, 2))
-        vv, uu, vu = numerics.sq_dist_blocks(v, u)
         with pytest.raises(ShapeError):
-            numerics.mmd2_value_grad(v, u, [1.0], (vv, uu, vu.T), (2, 3))
-        with pytest.raises(ShapeError):
-            numerics.mmd2_value_grad(v, u, [1.0], (vv, uu, vu), (3, 1))
+            numerics.mmd2_value_grad(v, u, [1.0], pushed_pool(v, u, (2, 3)), (3, 1))
 
     def test_gradient_three_unequal_bandwidths_finite_differences(self):
         rng = np.random.default_rng(9)
@@ -268,6 +272,10 @@ class TestMmd2ValueGradLadder:
         rng = np.random.default_rng(10)
         for m, n in ((40, 30), (1, 7), (256, 256)):
             v, u = rng.normal(size=(m, 6)), 1.2 * rng.normal(size=(n, 6)) + 0.3
+            if m < 2:  # arc_loss returns 0 before a window under 2 rows
+                with pytest.raises(ShapeError, match="2 rows per window"):
+                    full_value_grad(v, u, sig)
+                continue
             value, _, _ = full_value_grad(v, u, sig)
             expect = numerics.mmd2(v, u, sig)
             assert value == pytest.approx(expect, rel=1e-12)
@@ -277,7 +285,7 @@ class TestMmd2ValueGradLadder:
         rng = np.random.default_rng(11)
         for tv, tu in ((2, 3), (0, 4), (6, 0), (6, 5)):
             v, u = rng.normal(size=(6, 3)), rng.normal(size=(5, 3))
-            _, dv, du = numerics.mmd2_value_grad(v, u, sig, numerics.sq_dist_blocks(v, u), (tv, tu))
+            _, dv, du = tail_value_grad(v, u, sig, (tv, tu))
             assert dv.shape == (tv, 3) and du.shape == (tu, 3)
             for arr, grad in ((v, dv), (u, du)):
                 first = arr.shape[0] - grad.shape[0]
@@ -290,14 +298,15 @@ class TestMmd2ValueGradLadder:
         rng = np.random.default_rng(12)
         v, u = rng.normal(size=(30, 4)), rng.normal(size=(20, 4))
         _, dv, du = full_value_grad(v, u, LADDER)
-        _, tdv, tdu = numerics.mmd2_value_grad(v, u, LADDER, numerics.sq_dist_blocks(v, u),
-                                               (7, 11))
+        _, tdv, tdu = tail_value_grad(v, u, LADDER, (7, 11))
         np.testing.assert_allclose(tdv, dv[-7:], rtol=1e-13, atol=1e-15)
         np.testing.assert_allclose(tdu, du[-11:], rtol=1e-13, atol=1e-15)
 
-    @pytest.mark.parametrize("sig,exps", [(LADDER, 3), (NON_LADDER, 9)],
+    @pytest.mark.parametrize("sig,exps", [(LADDER, 1), (NON_LADDER, 3)],
                              ids=["ladder", "non-ladder"])
     def test_one_exp_per_block_on_a_ladder(self, monkeypatch, sig, exps):
+        # the pool's distances and the slabs share one work buffer, so each
+        # exp covers both
         calls, exp = [], np.exp
         monkeypatch.setattr(numerics.np, "exp", lambda *a, **k: calls.append(1) or exp(*a, **k))
         rng = np.random.default_rng(13)
