@@ -91,8 +91,8 @@ class ExperimentConfig:
             ("eps_k_scale", 0 <= self.eps_k_scale <= 1),
             ("eps_r_scale", 0 <= self.eps_r_scale <= 1),
             ("akc_mode", self.akc_mode in ("mse", "kl")),
-            ("buffer_capacity", self.buffer_capacity >= 1),
-            ("buffer_k", self.buffer_k >= 1),
+            ("buffer_capacity", self.buffer_capacity >= 2),
+            ("buffer_k", self.buffer_k >= 2),
             ("eta0", math.isfinite(self.eta0) and self.eta0 > 0),
             ("source_eta0", math.isfinite(self.source_eta0) and self.source_eta0 > 0),
             ("epochs", self.epochs >= 0),

@@ -80,55 +80,61 @@ def akc_loss(features, source_features, weights, mode: str):
 
 
 class ReplayBuffer:
-    """Bounded FIFO of detached representation rows.
+    """Bounded FIFO of detached representation rows, stored by slot.
 
-    `update` appends copies (evicting oldest beyond capacity);
-    `get_last_k` returns the newest min(k, len) rows, oldest first, as a
-    view of the stored rows that callers must not write to.
+    A buffer serves only its newest k rows, so it keeps at most
+    `capacity` = min(capacity, k) of them: the i-th row added sits in slot
+    i mod capacity, and `rows[:len(buf)]` is its window in slot order.
+    `update` copies rows in over the oldest; `newest(t)` names the slots of
+    the newest t rows, oldest first; `get_last_k` returns the newest
+    min(k, len) rows, oldest first.
     """
 
     def __init__(self, capacity: int, k: int):
         if capacity < 1 or k < 1:
             raise InvalidInput("capacity and k must be >= 1")
-        self.capacity = capacity
-        self.k = k
-        self.rows = np.zeros((0, 0))  # (n, dim), oldest first
+        self.capacity = min(capacity, k)
+        self.added = 0  # rows added so far
+        self.rows = np.zeros((0, 0))  # (capacity, dim) from the first update
 
     def __len__(self):
-        return self.rows.shape[0]
+        return min(self.added, self.capacity)
+
+    def newest(self, t: int) -> np.ndarray:
+        return np.arange(self.added - t, self.added) % self.capacity
 
     def update(self, rows):
         if not np.size(rows):
             return
         rows = as_tensor2(rows)
-        if len(self) and rows.shape[1] != self.rows.shape[1]:
+        if not self.added:
+            self.rows = np.empty((self.capacity, rows.shape[1]))
+        elif rows.shape[1] != self.rows.shape[1]:
             raise ShapeError(f"row dim {rows.shape[1]} != buffer dim {self.rows.shape[1]}")
-        kept = self.rows if len(self) else rows[:0]
-        self.rows = np.concatenate([kept, rows])[-self.capacity:]
+        self.added += rows.shape[0]
+        kept = rows[-self.capacity:]
+        self.rows[self.newest(kept.shape[0])] = kept
 
     def get_last_k(self) -> np.ndarray:
-        return self.rows[-self.k:]
+        return self.rows[self.newest(len(self))]
 
 
 def buffer_update_and_fetch(buf: ReplayBuffer, new_rows) -> np.ndarray:
+    """Add new_rows to buf and return its window in slot order, as a view
+    that callers must not write to."""
     buf.update(new_rows)
-    return buf.get_last_k()
+    return buf.rows[:len(buf)]
 
 
 class ArcState:
     """What ARC carries from step to step: the labeled and unlabeled replay
-    buffers and the squared distances among the rows of their windows.
-
-    A buffer serves only its last k rows, so each window holds at most
-    w = min(capacity, k) rows: each buffer keeps w rows, and `pairs` is a
-    `PairPool` of that size.
-    """
+    buffers and a `PairPool` of the squared distances among the rows of
+    their windows, with one slot per buffer slot."""
 
     def __init__(self, capacity: int, k: int):
-        w = min(capacity, k)
-        self.buf_l = ReplayBuffer(w, k)
-        self.buf_u = ReplayBuffer(w, k)
-        self.pairs = PairPool(w)
+        self.buf_l = ReplayBuffer(capacity, k)
+        self.buf_u = ReplayBuffer(capacity, k)
+        self.pairs = PairPool(self.buf_l.capacity)
 
 
 def arc_loss(f_l, f_u, logits_l, logits_u, eps_r, state: ArcState):
@@ -153,18 +159,18 @@ def arc_loss(f_l, f_u, logits_l, logits_u, eps_r, state: ArcState):
 
     star_l = buffer_update_and_fetch(state.buf_l, f_l[idx_l])
     star_u = buffer_update_and_fetch(state.buf_u, f_u[idx_u])
-    # current-batch rows are the newest pushes, i.e. the tail of the fetched
-    # set; only they carry gradients back into the extractor
+    # the current batch's rows that stay in the windows are the newest
+    # rows; only they carry gradients back into the extractor
     n_l = min(len(idx_l), star_l.shape[0])
     n_u = min(len(idx_u), star_u.shape[0])
-    state.pairs.push(star_l, star_u, (n_l, n_u))
+    state.pairs.push(star_l, star_u, (state.buf_l.newest(n_l), state.buf_u.newest(n_u)))
 
     d_f_l, d_f_u = np.zeros_like(f_l), np.zeros_like(f_u)
     if star_l.shape[0] < 2 or star_u.shape[0] < 2:
         return 0.0, (d_f_l, d_f_u), frac_l, frac_u
 
     sigmas = median_sigmas(state.pairs)
-    value, d_l, d_u = mmd2_value_grad(star_l, star_u, sigmas, state.pairs, (n_l, n_u))
+    value, d_l, d_u = mmd2_value_grad(star_l, star_u, sigmas, state.pairs)
     d_f_l[idx_l[len(idx_l) - n_l:]] = d_l
     d_f_u[idx_u[len(idx_u) - n_u:]] = d_u
     return float(value), (d_f_l, d_f_u), frac_l, frac_u

@@ -82,15 +82,14 @@ def mmd2(v, u, sigmas) -> float:
     return float(total)
 
 
-def mmd2_value_grad(v, u, sigmas, pairs, tail):
-    """mmd2 together with its gradients w.r.t. the last rows of v and of u.
+def mmd2_value_grad(v, u, sigmas, pairs):
+    """mmd2 together with its gradients w.r.t. the new rows of v and of u.
 
-    `pairs` is the `PairPool` whose last push was `push(v, u, tail)`; it
-    holds the squared distances and the rows. `tail = (tv, tu)` asks for
-    the gradients of the last tv rows of v and the last tu rows of u; the
-    value always covers every pair. Sigmas are treated as constants (no
-    gradient through a bandwidth heuristic). Returns (value, dv, du) with
-    dv, du shaped like v[m - tv:], u[n - tu:].
+    `pairs` is the `PairPool` whose last push was `push(v, u, new)`; it
+    holds the squared distances, the rows and the slots new = (sv, su) of
+    the new rows. The value always covers every pair. Sigmas are treated as
+    constants (no gradient through a bandwidth heuristic). Returns
+    (value, dv, du) with dv, du shaped like v[sv], u[su].
 
     Bandwidths are taken from largest to smallest. One that is exactly half
     the one before it takes its kernel as the previous kernel to the 4th
@@ -99,7 +98,7 @@ def mmd2_value_grad(v, u, sigmas, pairs, tail):
     sigmas = sorted(sigmas, reverse=True)
     if sigmas and sigmas[-1] <= 0:
         raise InvalidInput(f"sigma must be > 0, got {sigmas[-1]}")
-    return pairs._value_grad(v.shape[0], u.shape[0], sigmas, tail)
+    return pairs._value_grad(len(v), len(u), sigmas)
 
 
 def median_sigmas(pairs):
@@ -108,11 +107,12 @@ def median_sigmas(pairs):
     pair once: the within-set pairs of v and of u and every pair between
     them.
 
-    Falls back to sigma = 1 when the median distance is zero. Equals
-    np.median(np.sqrt(pairs.d2)) exactly: sqrt is monotone, so one
-    partition of the squared distances finds the middle pair.
+    Falls back to sigma = 1 when the median distance is zero. Equals the
+    numpy median of the square roots of those pairs' squared distances
+    exactly: sqrt is monotone, so one partition of the squared distances
+    finds the middle pair.
     """
-    x = pairs.d2.copy()
+    x = np.concatenate(pairs._parts(), axis=None)
     med = 0.0
     if x.size:
         k = x.size // 2
@@ -130,118 +130,94 @@ def _tri(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _ring(start: int, count: int, size: int):
-    """(slots, rows) slice pairs that cover `count` consecutive slots from
-    `start` on a ring of `size` slots: one pair, or two when the run wraps."""
-    k = min(count, size - start)
-    if k == count:
-        return ((slice(start, start + k), slice(0, k)),)
-    return ((slice(start, size), slice(0, k)), (slice(0, count - k), slice(k, count)))
-
-
 class PairPool:
     """The squared distances among the rows of two windows of at most w rows
-    each (ARC's fetched labeled set v and unlabeled set u, oldest first),
-    kept from push to push so that each push computes only the distances of
-    its new rows.
+    each (ARC's fetched labeled set v and unlabeled set u, in slot order:
+    row i is the row in slot i), kept from push to push so that each push
+    computes only the distances of its new rows.
 
-    A row keeps the slot (its insertion index) mod w for as long as it
-    stays in its window. `d2` holds every pair once, in three parts: the
-    strict upper triangle of the v window by slot (pair i < j at
-    j(j - 1)/2 + i), the same for the u window, and the m x n block between
-    them (v slot major). While a window fills its slots are a prefix, and
-    `d2` grows with it.
+    `d2` is allocated once and holds every pair once, by slot: the strict
+    upper triangle of the v window (pair i < j at j(j - 1)/2 + i), the same
+    for the u window, the w x w block between them, and a last cell that
+    takes each new row's pair with itself. A window of m < w rows fills its
+    first m slots. The block is u slot major because a push writes its new
+    rows' cells as rows and columns of it, rows write faster, and ARC's
+    unlabeled window takes more new rows per step than its labeled one.
 
-    `push(v, u, tail)` computes the slabs (the last tv rows of v and the
-    last tu rows of u against every row of [v; u]), writes them into their
-    slots and keeps them for the gradient of the same step.
+    `push(v, u, new)` computes the slabs (the rows at the slots
+    new = (sv, su) against every row of [v; u]), writes them into their
+    cells and keeps them for the gradient of the same step.
     """
 
     def __init__(self, w: int):
         self.w = w
+        self.d2 = np.empty(2 * _tri(w) + w * w + 1)
         self.fill = (0, 0)
-        self._cells = np.empty(1)  # d2 and a last cell for self-pairs
-        self.d2 = self._cells[:-1]
-        self._pushed = [0, 0]  # rows that entered each window, mod w
-        self._tri_start = self._slots = np.zeros(0, dtype=np.intp)
-        self._tail = (0, 0)
-        self._z = self._new = self._slab = None
+        self.new = self._z = self._new_rows = self._slab = None
 
-    def push(self, v, u, tail):
-        """Record the windows v and u after a push whose new rows are the
-        last tail = (tv, tu) of each; every other row must have been in the
-        window before."""
-        (m, n), (tv, tu), w = (v.shape[0], u.shape[0]), tail, self.w
-        (m0, n0) = self.fill
-        if not (m0 <= m <= w and n0 <= n <= w and m - tv <= m0 and n - tu <= n0
-                and 0 <= tv <= m and 0 <= tu <= n):
-            raise ShapeError(f"windows {(m0, n0)} cannot become {(m, n)} "
-                             f"with {(tv, tu)} new rows")
+    def push(self, v, u, new):
+        """Record the windows v and u after a push whose new rows sit at the
+        slots new = (sv, su); every other row must be the one its slot held
+        before."""
+        (m, n), w = (v.shape[0], u.shape[0]), self.w
+        sv, su = (np.asarray(s, dtype=np.intp) for s in new)
+        if max(m, n) > w or any(s.size and not 0 <= s.min() <= s.max() < k
+                                for s, k in ((sv, m), (su, n))):
+            raise ShapeError(f"windows of {(m, n)} rows do not fit {w} slots, "
+                             "or a new slot lies outside its window")
         if m and n and v.shape[1] != u.shape[1]:
             raise ShapeError(f"dim mismatch: {v.shape[1]} vs {u.shape[1]}")
-        if (m, n) != (m0, n0):
-            self._grow(m, n)
         d = (v if m else u).shape[1]
         z = np.concatenate((v.reshape(m, d), u.reshape(n, d)))
         zz = np.einsum("ij,ij->i", z, z)
-        new = np.concatenate((z[m - tv:m], z[m + n - tu:]))
-        slab = -2.0 * new @ z.T
-        slab += np.concatenate((zz[m - tv:m], zz[m + n - tu:]))[:, None]
+        rows = np.concatenate((sv, m + su))
+        new_rows = z[rows]
+        slab = -2.0 * new_rows @ z.T
+        slab += zz[rows][:, None]
         slab += zz
         np.maximum(slab, 0.0, out=slab)
 
-        starts = []
-        for i, (k, t) in enumerate(((m, tv), (n, tu))):
-            self._pushed[i] = (self._pushed[i] + t) % w
-            starts.append((self._pushed[i] - k) % w)
-        (sv, su), cells, tl = starts, self._cells, _tri(m)
+        tv, t, d2 = sv.size, _tri(w), self.d2
         # within-set pairs by slot; each new row's pair with itself goes to
         # the last cell (contiguous values scatter faster)
-        for start, k, t, off, blk in ((sv, m, tv, 0, slab[:tv, :m]),
-                                      (su, n, tu, tl, slab[tv:, m:])):
-            c = self._slots[start:start + k]
-            pos = self._tri_start[np.maximum(c[k - t:, None], c)]
-            pos += np.minimum(c[k - t:, None], c)
-            pos.ravel()[k - t::k + 1] = cells.size - 1 - off
-            cells[off:][pos] = np.ascontiguousarray(blk)
-        cross = self.d2[tl + _tri(n):].reshape(m, n)
-        for rs, ra in _ring((sv + m - tv) % w, tv, w):
-            for cs, cb in _ring(su, n, w):
-                cross[rs, cs] = slab[ra, m + cb.start:m + cb.stop]
-        for cs, ra in _ring((su + n - tu) % w, tu, w):
-            for rs, cb in _ring(sv, m, w):
-                cross[rs, cs] = slab[tv + ra.start:tv + ra.stop, cb].T
-        self._z, self._new, self._slab, self._tail = z, new, slab, (tv, tu)
+        for s, k, off, blk in ((sv, m, 0, slab[:tv, :m]), (su, n, t, slab[tv:, m:])):
+            c, col = np.arange(k), s[:, None]
+            start = c * (c - 1) // 2 + off  # cell of pair (0, c)
+            pos = start[np.maximum(col, c)]
+            pos += np.minimum(col, c)
+            pos[np.arange(s.size), s] = d2.size - 1
+            d2[pos] = np.ascontiguousarray(blk)
+        cross = d2[2 * t:-1].reshape(w, w)
+        cross[su, :m] = slab[tv:, :m]
+        cross[:n, sv] = slab[:tv, m:].T
+        self.fill, self.new = (m, n), (sv, su)
+        self._z, self._new_rows, self._slab = z, new_rows, slab
 
-    def _grow(self, m, n):
-        (m0, n0), d2 = self.fill, self.d2
-        t0, t1 = _tri(m0), _tri(n0)
-        cells = np.empty(_tri(m) + _tri(n) + m * n + 1)
-        cells[:t0] = d2[:t0]
-        cells[_tri(m):_tri(m) + t1] = d2[t0:t0 + t1]
-        cross = cells[_tri(m) + _tri(n):-1].reshape(m, n)
-        cross[:m0, :n0] = d2[t0 + t1:].reshape(m0, n0)
-        self._cells, self.d2, self.fill = cells, cells[:-1], (m, n)
-        # pair offsets and ring slots, for the slots filled so far
-        f = np.arange(2 * max(m, n))
-        self._tri_start, self._slots = f * (f - 1) // 2, f % self.w
+    def _parts(self):
+        """The cells of the last push's pairs: the v triangle, the u
+        triangle and the n x m block between them."""
+        (m, n), w, t = self.fill, self.w, _tri(self.w)
+        cross = self.d2[2 * t:-1].reshape(w, w)
+        return self.d2[:_tri(m)], self.d2[t:t + _tri(n)], cross[:n, :m]
 
-    def _value_grad(self, m, n, sigmas, tail):
+    def _value_grad(self, m, n, sigmas):
         """mmd2_value_grad of the windows of the last push."""
-        if (m, n) != self.fill or tail != self._tail:
-            raise ShapeError(f"rows {(m, n)} and tail {tail} are not those of "
-                             f"the last push, {self.fill} and {self._tail}")
+        if (m, n) != self.fill:
+            raise ShapeError(f"windows of {(m, n)} rows are not those of the "
+                             f"last push, {self.fill}")
         if m < 2 or n < 2:
             raise ShapeError(f"the pool's MMD needs 2 rows per window, has {(m, n)}")
-        tv, tu = tail
-        p, slab = self.d2.size, self._slab
+        tv, slab = self.new[0].size, self._slab
+        segments = (0, _tri(m), _tri(m) + _tri(n))
+        p = segments[2] + m * n
         work = np.empty(p + slab.size)
         k_pairs, k_slab = work[:p], work[p:].reshape(slab.shape)
+        cells = (k_pairs[:segments[1]], k_pairs[segments[1]:segments[2]],
+                 k_pairs[segments[2]:].reshape(n, m), k_slab)
         # One ladder over the pool and the slabs: the pool gives the value,
         # the slabs the gradient of the new rows. acc holds sum_i c_i K_i / c
         # for the c = 1 / sigma^2 of the current bandwidth.
         acc = np.empty(slab.shape)
-        segments = np.array((0, _tri(m), _tri(m) + _tri(n)))
         value, prev = 0.0, None
         for s in sigmas:
             if prev == 2.0 * s:
@@ -250,8 +226,8 @@ class PairPool:
                 acc *= 0.25
                 acc += k_slab
             else:
-                np.multiply(self.d2, -0.5 / (s * s), out=k_pairs)
-                np.multiply(slab, -0.5 / (s * s), out=k_slab)
+                for src, out in zip(self._parts() + (slab,), cells):
+                    np.multiply(src, -0.5 / (s * s), out=out)
                 np.exp(work, out=work)
                 if prev is None:
                     np.copyto(acc, k_slab)
@@ -274,7 +250,7 @@ class PairPool:
         acc[tv:, :m] *= -c / (m * n)
         acc[tv:, m:] *= c / (n * n)
         grad = acc @ self._z
-        grad -= acc.sum(axis=1)[:, None] * self._new
+        grad -= acc.sum(axis=1)[:, None] * self._new_rows
         return float(value), grad[:tv], grad[tv:]
 
 

@@ -309,8 +309,6 @@ def run_pipeline(cfg) -> RunResult:
     pool_akc_w = consistency.akc_weights(pair.source.head, pool_f0, cfg.eps_k(c_s))
     akc_pool_fraction = float(pool_akc_w.mean())
 
-    arc = consistency.ArcState(cfg.buffer_capacity, cfg.buffer_k)
-
     teacher = None
     if cfg.ssl_method() == "mean_teacher":
         # cfg.noise_std is relative to the pool's mean per-feature std
@@ -333,6 +331,11 @@ def run_pipeline(cfg) -> RunResult:
 
     log_epoch(0, cfg.eta0, dict.fromkeys(STEP_COLUMNS, 0.0))
     total_steps = steps_per_epoch * cfg.epochs
+    # a window never holds more rows than the run pushes into it
+    pushed = 0
+    if "arc" in cfg.method_parts():
+        pushed = total_steps * max(cfg.batch_labeled, cfg.batch_unlabeled)
+    arc = consistency.ArcState(max(1, min(cfg.buffer_capacity, pushed)), cfg.buffer_k)
     opt = SgdMomentum(target_model.params(), cfg.eta0, total_steps)
     sampler_l = BatchSampler(n_l, min(cfg.batch_labeled, n_l), rng_train)
     sampler_u = BatchSampler(pool_x.shape[0], cfg.batch_unlabeled, rng_train)

@@ -66,8 +66,8 @@ def pushed_pool(v, u, tail):
     and tu rows are new."""
     (m, n), (tv, tu) = (len(v), len(u)), tail
     pool = numerics.PairPool(max(m, n))
-    pool.push(v[:m - tv], u[:n - tu], (m - tv, n - tu))
-    pool.push(v, u, tail)
+    pool.push(v[:m - tv], u[:n - tu], (np.arange(m - tv), np.arange(n - tu)))
+    pool.push(v, u, (np.arange(m - tv, m), np.arange(n - tu, n)))
     return pool
 
 

@@ -371,7 +371,7 @@ def test_criterion_9_arc_mechanism():
             f_l = ext.forward(split.labeled_x)
             f_u = ext.forward(split.unlabeled_x)
             pool = PairPool(max(len(f_l), len(f_u)))
-            pool.push(f_l, f_u, (len(f_l), len(f_u)))
+            pool.push(f_l, f_u, (np.arange(len(f_l)), np.arange(len(f_u))))
             vals.append(mmd2(f_l, f_u, median_sigmas(pool)))
         wins += vals[1] < vals[0]
         details.append(f"{vals[0]:.4f}->{vals[1]:.4f}")

@@ -145,6 +145,18 @@ class TestRunCommand:
             blobs.append(open(os.path.join(out, "metrics.csv"), "rb").read())
         assert blobs[0] == blobs[1]
 
+    def test_a_window_the_run_cannot_fill_costs_nothing(self, tmp_path):
+        # one epoch pushes at most 32 x 64 rows into a window, so the ARC
+        # state is sized by the run, not by the buffer settings
+        blobs = []
+        for size in (4096, 100000):
+            out = str(tmp_path / f"s{size}")
+            assert main(["run", "--out", out, "--set", "method=akc+arc",
+                         "--set", f"buffer_capacity={size}", "--set", f"buffer_k={size}",
+                         "--set", "epochs=1"]) == 0
+            blobs.append(open(os.path.join(out, "metrics.csv"), "rb").read())
+        assert blobs[0] == blobs[1]
+
     @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "label-only"])
     def test_unreadable_csv_is_a_parse_error_named_in_error_json(self, tmp_path, capsys,
                                                                 case):
@@ -175,7 +187,8 @@ class TestRunCommand:
         "assignment",
         ["epochs=1.5", "eta0=abc", "hidden_dims=[8,", "hidden_dims=8",
          "lambda_r=-1", 'hidden_dims=["a"]', "hidden_dims=[8.5]",
-         "hidden_dims=[-3]", "hidden_dims=[0]", "seed=-1", "task.seed=-5"],
+         "hidden_dims=[-3]", "hidden_dims=[0]", "seed=-1", "task.seed=-5",
+         "buffer_capacity=1", "buffer_k=1"],
     )
     def test_bad_override_value_is_a_config_error(self, tmp_path, capsys,
                                                   assignment):

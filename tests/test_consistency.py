@@ -314,6 +314,35 @@ class TestArcState:
             seen += p
             assert len(state.buf_l) == len(state.buf_u) == min(seen, 5)
 
+    def test_deep_copy_of_a_full_state_steps_like_the_original(self):
+        # four pushes of 3 rows fill both windows of w = 6 and wrap them
+        rng = np.random.default_rng(21)
+        state = ArcState(6, 6)
+        for _ in range(4):
+            f = rng.normal(size=(3, 3))
+            arc_loss(f, 0.5 - f, open_gate(f), open_gate(f), 0.0, state)
+        twin = copy.deepcopy(state)
+        f_l, f_u = rng.normal(size=(2, 3)), rng.normal(size=(4, 3)) + 0.3
+        (v0, d0, _, _), (v1, d1, _, _) = (
+            arc_loss(f_l, f_u, open_gate(f_l), open_gate(f_u), 0.0, s)
+            for s in (state, twin))
+        assert v0 == v1 > 0
+        for a, b in zip(d0, d1):
+            np.testing.assert_array_equal(a, b)
+
+    def test_no_attribute_is_a_view_of_another(self):
+        state = ArcState(6, 6)
+        rng = np.random.default_rng(22)
+        for p in (4, 5):
+            f = rng.normal(size=(p, 3))
+            arc_loss(f, f + 1.0, open_gate(f), open_gate(f), 0.0, state)
+        arrays = [a for obj in (state.buf_l, state.buf_u, state.pairs)
+                  for a in vars(obj).values() if isinstance(a, np.ndarray)]
+        arrays += list(state.pairs.new)
+        assert len(arrays) == 8
+        for i, a in enumerate(arrays):
+            assert all(not np.shares_memory(a, b) for b in arrays[i + 1:])
+
 
 class TestArcLoss:
     def test_identical_selected_sets_zero(self, small_pair):
@@ -414,7 +443,7 @@ class RebuildCheck:
     pool kernel with the dense oracle on the same fetched sets: the numpy
     median sigmas of their pair distances, and the value and gradients of
     every row at those sigmas. Keeps the worst relative difference of the
-    sigmas, the value and each tail gradient."""
+    sigmas, the value and each new-row gradient."""
 
     def __init__(self, monkeypatch):
         self.kernel = numerics.mmd2_value_grad
@@ -430,11 +459,11 @@ class RebuildCheck:
             return 0.0
         return float(np.abs(got - ref).max() / max(np.abs(ref).max(), 1e-300))
 
-    def __call__(self, v, u, sigmas, pairs, tail):
+    def __call__(self, v, u, sigmas, pairs):
         ref_sigmas = dense_median_sigmas(v, u)
         value, dv, du = dense_mmd2_value_grad(v, u, ref_sigmas)
-        ref = (value, dv[len(v) - tail[0]:], du[len(u) - tail[1]:])
-        got = self.kernel(v, u, sigmas, pairs, tail)
+        ref = (value, dv[pairs.new[0]], du[pairs.new[1]])
+        got = self.kernel(v, u, sigmas, pairs)
         for key, a, b in zip(self.worst, (sigmas,) + got, (ref_sigmas,) + ref):
             self.worst[key] = max(self.worst[key], self.rel(a, b))
         self.calls += 1
@@ -494,13 +523,15 @@ class TestPairPool:
         pool = numerics.PairPool(4)
         rng = np.random.default_rng(0)
         v, u = rng.normal(size=(3, 2)), rng.normal(size=(2, 2))
-        pool.push(v, u, (3, 2))
+        pool.push(v, u, (np.arange(3), np.arange(2)))
         with pytest.raises(ShapeError):
-            pool.push(v[:2], u, (0, 0))  # a window never shrinks
+            pool.push(v, u, ([3], []))  # a new slot beyond the window
         with pytest.raises(ShapeError):
-            pool.push(rng.normal(size=(4, 2)), u, (0, 0))  # a grown window has new rows
+            pool.push(v, u, ([], [-1]))  # a slot below 0
+        with pytest.raises(ShapeError):
+            pool.push(rng.normal(size=(5, 2)), u, ([4], []))  # a window beyond w
         sigmas = numerics.median_sigmas(pool)
         with pytest.raises(ShapeError):
-            numerics.mmd2_value_grad(v, u, sigmas, pool, (1, 2))  # not the pushed tail
+            numerics.mmd2_value_grad(v[:2], u, sigmas, pool)  # not the pushed rows
         with pytest.raises(ShapeError):
-            numerics.mmd2_value_grad(v, u[:1], sigmas, pool, (3, 1))  # not the pushed rows
+            numerics.mmd2_value_grad(v, u[:1], sigmas, pool)  # not the pushed rows

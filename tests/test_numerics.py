@@ -114,7 +114,7 @@ class TestRbfKernel:
 
 def tail_value_grad(v, u, sig, tail):
     """mmd2_value_grad of a fresh pool whose last push made `tail` new."""
-    return numerics.mmd2_value_grad(v, u, sig, pushed_pool(v, u, tail), tail)
+    return numerics.mmd2_value_grad(v, u, sig, pushed_pool(v, u, tail))
 
 
 def full_value_grad(v, u, sig):
@@ -230,8 +230,9 @@ class TestMedianSigmas:
         pool = pushed_pool(v, u, (1, 1))
         # the pool holds each pair once, as the dense oracle has them
         expect = pair_sq_dists(v, u)[np.triu_indices(m + n, 1)]
-        np.testing.assert_allclose(np.sort(pool.d2), np.sort(expect), rtol=0, atol=1e-12)
-        med = np.median(np.sqrt(pool.d2))
+        d2 = np.concatenate(pool._parts(), axis=None)
+        np.testing.assert_allclose(np.sort(d2), np.sort(expect), rtol=0, atol=1e-12)
+        med = np.median(np.sqrt(d2))
         assert numerics.median_sigmas(pool) == [0.5 * med, med, 2.0 * med]
 
     def test_fallback_is_scaled_by_factors(self):
@@ -250,7 +251,7 @@ class TestMmd2ValueGradPooled:
     def test_wrong_distance_shape_rejected(self):
         v, u = np.zeros((2, 2)), np.ones((3, 2))
         with pytest.raises(ShapeError):
-            numerics.mmd2_value_grad(v, u, [1.0], pushed_pool(v, u, (2, 3)), (3, 1))
+            numerics.mmd2_value_grad(v, u[:2], [1.0], pushed_pool(v, u, (2, 3)))
 
     def test_gradient_three_unequal_bandwidths_finite_differences(self):
         rng = np.random.default_rng(9)
