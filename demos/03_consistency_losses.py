@@ -59,7 +59,7 @@ v0, _, _ = akc_loss(f0, f0, w, "mse")
 print(f"with theta == theta0 the penalty is exactly {v0}")
 
 # --- ARC -------------------------------------------------------------
-state = ArcState(capacity=64, k=64)
+state = ArcState(w=64)
 x_l = rng.normal(size=(6, 8))
 x_u = rng.normal(size=(10, 8)) + 0.3  # slightly shifted unlabeled stream
 head = pair.target.head

@@ -79,7 +79,8 @@ class ExperimentConfig:
     # ------------------------------------------------------------ validation
 
     def validate(self) -> "ExperimentConfig":
-        bad = _wrong_types(self, ExperimentConfig())
+        fields = list(_fields(self, ExperimentConfig()))
+        bad = [f"{k}={v!r}" for k, v, want in fields if not _has_type(v, want)]
         if bad:
             raise ConfigError("invalid config field types: " + ", ".join(bad))
         self.ssl_method()
@@ -93,8 +94,8 @@ class ExperimentConfig:
             ("akc_mode", self.akc_mode in ("mse", "kl")),
             ("buffer_capacity", self.buffer_capacity >= 2),
             ("buffer_k", self.buffer_k >= 2),
-            ("eta0", math.isfinite(self.eta0) and self.eta0 > 0),
-            ("source_eta0", math.isfinite(self.source_eta0) and self.source_eta0 > 0),
+            ("eta0", self.eta0 > 0),
+            ("source_eta0", self.source_eta0 > 0),
             ("epochs", self.epochs >= 0),
             ("source_epochs", self.source_epochs >= 0),
             ("batch_labeled", self.batch_labeled >= 1),
@@ -107,6 +108,8 @@ class ExperimentConfig:
             ("task.seed", self.task.seed >= 0),
         ]
         bad = [name for name, ok in checks if not ok]
+        bad += [k for k, v, want in fields if isinstance(want, float)
+                and not math.isfinite(v) and k not in bad]
         if bad:
             raise ConfigError("invalid config fields: " + ", ".join(bad))
         if not self.target_train_csv:
@@ -152,6 +155,10 @@ class ExperimentConfig:
         payload_meta = {
             "mmd_estimator": "biased_v_statistic",
             "non_paper_defaults": ["pl_confidence", "ema_alpha", "noise_std"],
+            # byte-determinism holds per numpy version and BLAS thread count
+            "numpy_version": np.__version__,
+            "blas_thread_env": {var: os.environ.get(var) for var in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
             **extra_metadata,
         }
         with open(path, "w", encoding="utf-8") as fh:
@@ -200,17 +207,16 @@ def _has_type(value, default) -> bool:
     return isinstance(value, kind) and isinstance(value, bool) == isinstance(default, bool)
 
 
-def _wrong_types(obj, default, prefix: str = "") -> list:
-    """`name=value` for each field of the dataclass `obj` whose value lacks
-    the type of the same field in `default`, nested dataclasses included."""
-    bad = []
+def _fields(obj, default, prefix: str = ""):
+    """(dotted name, value, default value) of each field of the dataclass
+    `obj`, read against the same fields of `default`, nested dataclasses of
+    the default's type included."""
     for f in dataclasses.fields(default):
         value, want = getattr(obj, f.name), getattr(default, f.name)
         if dataclasses.is_dataclass(want) and isinstance(value, type(want)):
-            bad += _wrong_types(value, want, f"{prefix}{f.name}.")
-        elif not _has_type(value, want):
-            bad.append(f"{prefix}{f.name}={value!r}")
-    return bad
+            yield from _fields(value, want, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, value, want
 
 
 def _coerce(key: str, text: str, current):

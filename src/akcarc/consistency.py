@@ -128,13 +128,14 @@ def buffer_update_and_fetch(buf: ReplayBuffer, new_rows) -> np.ndarray:
 
 class ArcState:
     """What ARC carries from step to step: the labeled and unlabeled replay
-    buffers and a `PairPool` of the squared distances among the rows of
-    their windows, with one slot per buffer slot."""
+    buffers, whose windows hold the newest w rows each, and a `PairPool` of
+    the squared distances among the rows of those windows, with one slot
+    per buffer slot."""
 
-    def __init__(self, capacity: int, k: int):
-        self.buf_l = ReplayBuffer(capacity, k)
-        self.buf_u = ReplayBuffer(capacity, k)
-        self.pairs = PairPool(self.buf_l.capacity)
+    def __init__(self, w: int):
+        self.buf_l = ReplayBuffer(w, w)
+        self.buf_u = ReplayBuffer(w, w)
+        self.pairs = PairPool(w)
 
 
 def arc_loss(f_l, f_u, logits_l, logits_u, eps_r, state: ArcState):

@@ -85,20 +85,61 @@ def mmd2(v, u, sigmas) -> float:
 def mmd2_value_grad(v, u, sigmas, pairs):
     """mmd2 together with its gradients w.r.t. the new rows of v and of u.
 
-    `pairs` is the `PairPool` whose last push was `push(v, u, new)`; it
-    holds the squared distances, the rows and the slots new = (sv, su) of
-    the new rows. The value always covers every pair. Sigmas are treated as
-    constants (no gradient through a bandwidth heuristic). Returns
-    (value, dv, du) with dv, du shaped like v[sv], u[su].
+    `pairs` is the `PairPool` whose last push was `push(v, u, new)`: it
+    gives the squared distances of every pair, and the slabs of the new rows
+    new = (sv, su) against every row of [v; u]; the gradient reads its rows
+    from v and u. The value always covers every pair. Sigmas are treated as
+    constants (no gradient through a bandwidth heuristic). Returns (value,
+    dv, du) with dv, du shaped like v[sv], u[su].
 
     Bandwidths are taken from largest to smallest. One that is exactly half
     the one before it takes its kernel as the previous kernel to the 4th
     power (gamma = 1 / (2 sigma^2) grows 4x); any other takes one exp.
     """
+    (m, n), (sv, su), slab = (len(v), len(u)), pairs.new, pairs.slab
+    if (m, n) != pairs.fill:
+        raise ShapeError(f"windows of {(m, n)} rows are not those of the "
+                         f"last push, {pairs.fill}")
+    if m < 2 or n < 2:
+        raise ShapeError(f"the pool's MMD needs 2 rows per window, has {(m, n)}")
     sigmas = sorted(sigmas, reverse=True)
-    if sigmas and sigmas[-1] <= 0:
-        raise InvalidInput(f"sigma must be > 0, got {sigmas[-1]}")
-    return pairs._value_grad(len(v), len(u), sigmas)
+    if not sigmas or sigmas[-1] <= 0:
+        raise InvalidInput(f"sigmas must be > 0 and at least one, got {sigmas}")
+    tv = sv.size
+    segments = (0, _tri(m), _tri(m) + _tri(n))
+    p = segments[2] + m * n
+    work = np.empty(p + slab.size)
+    k_pairs, k_slab = work[:p], work[p:].reshape(slab.shape)
+    cells = (k_pairs[:segments[1]], k_pairs[segments[1]:segments[2]],
+             k_pairs[segments[2]:].reshape(n, m), k_slab)
+    # One ladder over the pool and the slabs: the pool gives the value, the
+    # slabs the gradient of the new rows. acc holds sum_i K_i / sigma_i^2.
+    acc, tmp = np.zeros(slab.shape), np.empty(slab.shape)
+    value, prev = 0.0, None
+    for s in sigmas:
+        if prev == 2.0 * s:
+            work *= work
+            work *= work
+        else:
+            for src, out in zip(pairs.parts() + (slab,), cells):
+                np.multiply(src, -0.5 / (s * s), out=out)
+            np.exp(work, out=work)
+        prev = s
+        acc += np.multiply(k_slab, 1.0 / (s * s), out=tmp)
+        # within-set terms: twice the upper triangle plus the diagonal
+        s_v, s_u, s_vu = np.add.reduceat(k_pairs, segments).tolist()
+        value += ((2.0 * s_v + m) / (m * m) + (2.0 * s_u + n) / (n * n)
+                  - 2.0 * s_vu / (m * n))
+    # w = 2 acc scaled by the term's 1/m^2, 1/n^2 or -1/(m n); per new row
+    # r of z = [v; u], dz_r = sum_j w_rj z_j - (sum_j w_rj) z_r
+    acc[:tv, :m] *= 2.0 / (m * m)
+    acc[:tv, m:] *= -2.0 / (m * n)
+    acc[tv:, :m] *= -2.0 / (m * n)
+    acc[tv:, m:] *= 2.0 / (n * n)
+    grad = acc[:, :m] @ v
+    grad += acc[:, m:] @ u
+    grad -= acc.sum(axis=1)[:, None] * np.concatenate((v[sv], u[su]))
+    return float(value), grad[:tv], grad[tv:]
 
 
 def median_sigmas(pairs):
@@ -112,7 +153,7 @@ def median_sigmas(pairs):
     exactly: sqrt is monotone, so one partition of the squared distances
     finds the middle pair.
     """
-    x = np.concatenate(pairs._parts(), axis=None)
+    x = np.concatenate(pairs.parts(), axis=None)
     med = 0.0
     if x.size:
         k = x.size // 2
@@ -146,14 +187,15 @@ class PairPool:
 
     `push(v, u, new)` computes the slabs (the rows at the slots
     new = (sv, su) against every row of [v; u]), writes them into their
-    cells and keeps them for the gradient of the same step.
+    cells and keeps them as `slab` for the gradient of the same step;
+    `parts()` gives the cells of the last push's pairs.
     """
 
     def __init__(self, w: int):
         self.w = w
         self.d2 = np.empty(2 * _tri(w) + w * w + 1)
         self.fill = (0, 0)
-        self.new = self._z = self._new_rows = self._slab = None
+        self.new = self.slab = None
 
     def push(self, v, u, new):
         """Record the windows v and u after a push whose new rows sit at the
@@ -171,8 +213,7 @@ class PairPool:
         z = np.concatenate((v.reshape(m, d), u.reshape(n, d)))
         zz = np.einsum("ij,ij->i", z, z)
         rows = np.concatenate((sv, m + su))
-        new_rows = z[rows]
-        slab = -2.0 * new_rows @ z.T
+        slab = -2.0 * z[rows] @ z.T
         slab += zz[rows][:, None]
         slab += zz
         np.maximum(slab, 0.0, out=slab)
@@ -190,68 +231,14 @@ class PairPool:
         cross = d2[2 * t:-1].reshape(w, w)
         cross[su, :m] = slab[tv:, :m]
         cross[:n, sv] = slab[:tv, m:].T
-        self.fill, self.new = (m, n), (sv, su)
-        self._z, self._new_rows, self._slab = z, new_rows, slab
+        self.fill, self.new, self.slab = (m, n), (sv, su), slab
 
-    def _parts(self):
+    def parts(self):
         """The cells of the last push's pairs: the v triangle, the u
         triangle and the n x m block between them."""
         (m, n), w, t = self.fill, self.w, _tri(self.w)
         cross = self.d2[2 * t:-1].reshape(w, w)
         return self.d2[:_tri(m)], self.d2[t:t + _tri(n)], cross[:n, :m]
-
-    def _value_grad(self, m, n, sigmas):
-        """mmd2_value_grad of the windows of the last push."""
-        if (m, n) != self.fill:
-            raise ShapeError(f"windows of {(m, n)} rows are not those of the "
-                             f"last push, {self.fill}")
-        if m < 2 or n < 2:
-            raise ShapeError(f"the pool's MMD needs 2 rows per window, has {(m, n)}")
-        tv, slab = self.new[0].size, self._slab
-        segments = (0, _tri(m), _tri(m) + _tri(n))
-        p = segments[2] + m * n
-        work = np.empty(p + slab.size)
-        k_pairs, k_slab = work[:p], work[p:].reshape(slab.shape)
-        cells = (k_pairs[:segments[1]], k_pairs[segments[1]:segments[2]],
-                 k_pairs[segments[2]:].reshape(n, m), k_slab)
-        # One ladder over the pool and the slabs: the pool gives the value,
-        # the slabs the gradient of the new rows. acc holds sum_i c_i K_i / c
-        # for the c = 1 / sigma^2 of the current bandwidth.
-        acc = np.empty(slab.shape)
-        value, prev = 0.0, None
-        for s in sigmas:
-            if prev == 2.0 * s:
-                work *= work
-                work *= work
-                acc *= 0.25
-                acc += k_slab
-            else:
-                for src, out in zip(self._parts() + (slab,), cells):
-                    np.multiply(src, -0.5 / (s * s), out=out)
-                np.exp(work, out=work)
-                if prev is None:
-                    np.copyto(acc, k_slab)
-                else:
-                    acc *= (s / prev) ** 2
-                    acc += k_slab
-            prev = s
-            # within-set terms: twice the upper triangle plus the diagonal
-            s_v, s_u, s_vu = np.add.reduceat(k_pairs, segments).tolist()
-            value += ((2.0 * s_v + m) / (m * m) + (2.0 * s_u + n) / (n * n)
-                      - 2.0 * s_vu / (m * n))
-        if prev is None:
-            acc[...] = 0.0
-            prev = 1.0
-        # w = acc / prev^2 scaled by the term's 1/m^2, 1/n^2 or -2/(m n);
-        # per new row r, dz_r = 2 (sum_j w_rj z_j - (sum_j w_rj) z_r)
-        c = 2.0 / (prev * prev)
-        acc[:tv, :m] *= c / (m * m)
-        acc[:tv, m:] *= -c / (m * n)
-        acc[tv:, :m] *= -c / (m * n)
-        acc[tv:, m:] *= c / (n * n)
-        grad = acc @ self._z
-        grad -= acc.sum(axis=1)[:, None] * self._new_rows
-        return float(value), grad[:tv], grad[tv:]
 
 
 def softmax_backward(q: np.ndarray, dq: np.ndarray) -> np.ndarray:

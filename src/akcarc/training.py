@@ -109,9 +109,9 @@ def total_loss(target: Classifier, x_l, y_l, x_u, cfg: ExperimentConfig,
     mean teacher, the noisy student view of x_u), sums the terms' gradients
     w.r.t. logits and features, and backpropagates once. `source` is (frozen
     source features, AKC gate weights) of the rows [x_l; x_u], computed once
-    per pool at set-up. `arc` is the run's `consistency.ArcState`.
-    `teacher` is (EMA teacher model, absolute input-noise std) for mean
-    teacher.
+    per pool at set-up. `arc` is the run's `consistency.ArcState` (None
+    without ARC). `teacher` is (EMA teacher model, absolute input-noise
+    std) for mean teacher.
 
     Returns (scalar, grads dict over target params, breakdown dict). The
     breakdown maps each of STEP_COLUMNS to its raw term value or ARC gate
@@ -331,11 +331,10 @@ def run_pipeline(cfg) -> RunResult:
 
     log_epoch(0, cfg.eta0, dict.fromkeys(STEP_COLUMNS, 0.0))
     total_steps = steps_per_epoch * cfg.epochs
-    # a window never holds more rows than the run pushes into it
-    pushed = 0
-    if "arc" in cfg.method_parts():
-        pushed = total_steps * max(cfg.batch_labeled, cfg.batch_unlabeled)
-    arc = consistency.ArcState(max(1, min(cfg.buffer_capacity, pushed)), cfg.buffer_k)
+    # ARC's window size: a window never holds more rows than the run pushes
+    w = max(1, min(cfg.buffer_capacity, cfg.buffer_k,
+                   total_steps * max(cfg.batch_labeled, cfg.batch_unlabeled)))
+    arc = consistency.ArcState(w) if "arc" in cfg.method_parts() else None
     opt = SgdMomentum(target_model.params(), cfg.eta0, total_steps)
     sampler_l = BatchSampler(n_l, min(cfg.batch_labeled, n_l), rng_train)
     sampler_u = BatchSampler(pool_x.shape[0], cfg.batch_unlabeled, rng_train)

@@ -71,11 +71,11 @@ def pushed_pool(v, u, tail):
     return pool
 
 
-def seeded_arc(capacity, rows_l, rows_u):
-    """An `ArcState` of buffers of `capacity` rows (k = capacity) holding
-    rows_l and rows_u, pushed as a step pushes its selections: one-class
-    logits have entropy 0, so every row passes the gate."""
-    state = ArcState(capacity, capacity)
+def seeded_arc(w, rows_l, rows_u):
+    """An `ArcState` of windows of w rows holding rows_l and rows_u, pushed
+    as a step pushes its selections: one-class logits have entropy 0, so
+    every row passes the gate."""
+    state = ArcState(w)
     arc_loss(rows_l, rows_u, np.zeros((len(rows_l), 1)),
              np.zeros((len(rows_u), 1)), 0.0, state)
     return state

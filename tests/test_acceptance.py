@@ -11,6 +11,7 @@ import copy
 import time
 
 import numpy as np
+import pytest
 
 from akcarc.cli import execute_run
 from akcarc.config import ExperimentConfig
@@ -281,6 +282,7 @@ def test_criterion_5_schedule_and_optimizer():
     report(5, "schedule and optimizer", True)
 
 
+@pytest.mark.slow
 def test_criterion_6_directional_ablation():
     """Reference task, n=40 labeled / 1960 unlabeled, 5 seeds: AKC+ARC
     beats supervised by >= 2 points; AKC-only and ARC-only >= supervised."""
@@ -305,6 +307,7 @@ def test_criterion_6_directional_ablation():
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_threshold_sweep_shape():
     """Accuracy at eps/lnC in {0.5, 0.7} is >= accuracy at eps = 0 for both
     the AKC and the ARC sweep; the full 5-point grid is printed."""
@@ -356,6 +359,7 @@ def test_criterion_8_imprinting():
     assert reach <= 2
 
 
+@pytest.mark.slow
 def test_criterion_9_arc_mechanism():
     """Final-model full-set MMD between labeled and unlabeled
     representations is strictly smaller with ARC on, for every seed."""

@@ -80,7 +80,12 @@ class TestConfig:
             payload = json.load(fh)
         loaded = ExperimentConfig.from_dict(payload["config"])
         assert loaded == cfg
-        assert payload["metadata"]["mmd_estimator"] == "biased_v_statistic"
+        meta = payload["metadata"]
+        assert meta["mmd_estimator"] == "biased_v_statistic"
+        assert meta["numpy_version"] == np.__version__
+        assert meta["blas_thread_env"] == {
+            var: os.environ.get(var)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys: bogus"):
@@ -135,15 +140,17 @@ class TestRunCommand:
         assert blobs[0] == blobs[1]
 
     def test_buffer_capacity_beyond_k_changes_nothing(self, tmp_path):
-        # only the last buffer_k rows of a buffer are ever fetched
-        blobs = []
-        for capacity in (256, 100000):
-            out = str(tmp_path / f"c{capacity}")
-            assert main(["run", "--out", out] + TINY + [
-                "--set", "method=arc", "--set", "epochs=3", "--set", "eps_r_scale=1",
-                "--set", f"buffer_capacity={capacity}"]) == 0
-            blobs.append(open(os.path.join(out, "metrics.csv"), "rb").read())
-        assert blobs[0] == blobs[1]
+        # only the last buffer_k rows of a buffer are ever fetched, and
+        # only the last buffer_capacity rows are ever kept
+        for field in ("buffer_capacity", "buffer_k"):
+            blobs = []
+            for size in (256, 100000):
+                out = str(tmp_path / f"{field}{size}")
+                assert main(["run", "--out", out] + TINY + [
+                    "--set", "method=arc", "--set", "epochs=3", "--set", "eps_r_scale=1",
+                    "--set", f"{field}={size}"]) == 0
+                blobs.append(open(os.path.join(out, "metrics.csv"), "rb").read())
+            assert blobs[0] == blobs[1], field
 
     def test_a_window_the_run_cannot_fill_costs_nothing(self, tmp_path):
         # one epoch pushes at most 32 x 64 rows into a window, so the ARC
@@ -188,7 +195,11 @@ class TestRunCommand:
         ["epochs=1.5", "eta0=abc", "hidden_dims=[8,", "hidden_dims=8",
          "lambda_r=-1", 'hidden_dims=["a"]', "hidden_dims=[8.5]",
          "hidden_dims=[-3]", "hidden_dims=[0]", "seed=-1", "task.seed=-5",
-         "buffer_capacity=1", "buffer_k=1"],
+         "buffer_capacity=1", "buffer_k=1", "lambda_k=inf", "lambda_r=inf",
+         "lambda_s=inf", "noise_std=inf", "task.cluster_std=nan",
+         "task.cluster_std=inf", "task.transfer_rotation_deg=nan",
+         "task.transfer_rotation_deg=inf", "task.transfer_shift=nan",
+         "task.transfer_shift=inf"],
     )
     def test_bad_override_value_is_a_config_error(self, tmp_path, capsys,
                                                   assignment):

@@ -298,26 +298,25 @@ class TestEntropyGate:
             assert frac_u == entropy_gate(z_u, eps).mean()
 
 
-def fresh_state(cap=32, k=16):
-    return ArcState(cap, k)
+def fresh_state(w=16):
+    return ArcState(w)
 
 
 class TestArcState:
     def test_buffers_hold_no_more_than_the_window(self):
         # a buffer serves only its last k rows, so it keeps only those
-        state = ArcState(100000, 5)
+        buf = ReplayBuffer(100000, 5)
         rng = np.random.default_rng(0)
         seen = 0
         for p in (3, 0, 8, 2, 12):
-            f = rng.normal(size=(p, 3))
-            arc_loss(f, f + 1.0, open_gate(f), open_gate(f), 0.0, state)
+            buf.update(rng.normal(size=(p, 3)))
             seen += p
-            assert len(state.buf_l) == len(state.buf_u) == min(seen, 5)
+            assert len(buf) == min(seen, 5) and buf.rows.shape == (5, 3)
 
     def test_deep_copy_of_a_full_state_steps_like_the_original(self):
         # four pushes of 3 rows fill both windows of w = 6 and wrap them
         rng = np.random.default_rng(21)
-        state = ArcState(6, 6)
+        state = ArcState(6)
         for _ in range(4):
             f = rng.normal(size=(3, 3))
             arc_loss(f, 0.5 - f, open_gate(f), open_gate(f), 0.0, state)
@@ -331,7 +330,7 @@ class TestArcState:
             np.testing.assert_array_equal(a, b)
 
     def test_no_attribute_is_a_view_of_another(self):
-        state = ArcState(6, 6)
+        state = ArcState(6)
         rng = np.random.default_rng(22)
         for p in (4, 5):
             f = rng.normal(size=(p, 3))
@@ -339,7 +338,7 @@ class TestArcState:
         arrays = [a for obj in (state.buf_l, state.buf_u, state.pairs)
                   for a in vars(obj).values() if isinstance(a, np.ndarray)]
         arrays += list(state.pairs.new)
-        assert len(arrays) == 8
+        assert len(arrays) == 6  # the buffers' rows, d2, slab and the new slots
         for i, a in enumerate(arrays):
             assert all(not np.shares_memory(a, b) for b in arrays[i + 1:])
 
@@ -476,6 +475,7 @@ def open_gate(rows):
 
 
 class TestPairPool:
+    @pytest.mark.slow
     def test_matches_a_full_rebuild_over_a_default_run(self, monkeypatch):
         check = RebuildCheck(monkeypatch)
         cfg = ExperimentConfig(method="akc+arc", seed=0)
@@ -494,7 +494,7 @@ class TestPairPool:
                   (1, 8), (2, 3), (0, 0), (5, 5), (1, 0), (12, 12), (3, 4)]
         w = min(capacity, k)
         check = RebuildCheck(monkeypatch)
-        state = ArcState(capacity, k)
+        state = ArcState(w)
         rng = np.random.default_rng(capacity * 10 + k)
         seen_l = seen_u = 0
         skipped = 0

@@ -230,7 +230,7 @@ class TestMedianSigmas:
         pool = pushed_pool(v, u, (1, 1))
         # the pool holds each pair once, as the dense oracle has them
         expect = pair_sq_dists(v, u)[np.triu_indices(m + n, 1)]
-        d2 = np.concatenate(pool._parts(), axis=None)
+        d2 = np.concatenate(pool.parts(), axis=None)
         np.testing.assert_allclose(np.sort(d2), np.sort(expect), rtol=0, atol=1e-12)
         med = np.median(np.sqrt(d2))
         assert numerics.median_sigmas(pool) == [0.5 * med, med, 2.0 * med]
@@ -316,8 +316,9 @@ class TestMmd2ValueGradLadder:
 
     def test_nonpositive_sigma_rejected(self):
         v, u = np.zeros((2, 2)), np.ones((3, 2))
-        with pytest.raises(InvalidInput):
-            full_value_grad(v, u, [1.0, 0.0])
+        for sigmas in ([1.0, 0.0], []):
+            with pytest.raises(InvalidInput):
+                full_value_grad(v, u, sigmas)
 
 
 @settings(max_examples=50, deadline=None)

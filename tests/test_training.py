@@ -125,7 +125,7 @@ class TestTotalLoss:
         x_l, y_l, x_u = self.make_inputs()
         cfg = self.loss_cfg(method="akc+arc", lambda_k=2.0, lambda_r=5.0,
                             lambda_s=1.0)
-        value, _, bd = total_loss(small_pair.target, x_l, y_l, x_u, cfg, ArcState(64, 64),
+        value, _, bd = total_loss(small_pair.target, x_l, y_l, x_u, cfg, ArcState(64),
                                   frozen_source(small_pair, x_l, x_u, cfg))
         assert tuple(bd) == STEP_COLUMNS
         assert set(STEP_COLUMNS) <= set(METRICS_COLUMNS)
@@ -136,7 +136,7 @@ class TestTotalLoss:
         x_l, y_l, x_u = self.make_inputs()
         cfg = self.loss_cfg(method="supervised")
         value, grads, bd = total_loss(
-            small_pair.target, x_l, y_l, x_u, cfg, ArcState(256, 256),
+            small_pair.target, x_l, y_l, x_u, cfg, None,
             frozen_source(small_pair, x_l, x_u, cfg),
         )
         v_ce, g_ce = term_grads(
@@ -171,7 +171,7 @@ class TestTotalLoss:
         cfg = self.loss_cfg(method="pseudo_label", lambda_s=0.5,
                             pl_confidence=0.0)
         value, _, bd = total_loss(
-            small_pair.target, x_l, y_l, x_u, cfg, ArcState(256, 256),
+            small_pair.target, x_l, y_l, x_u, cfg, None,
             frozen_source(small_pair, x_l, x_u, cfg),
         )
         assert bd["loss_ssl"] > 0
