@@ -52,8 +52,8 @@ print(f"imprinted row norms: {np.round(norms, 6).tolist()}")
 acts = imprinted.extractor.activations(target.labeled_x)
 loss, d_logits = cross_entropy_loss(imprinted.head.forward(acts[-1]),
                                     target.labeled_y)
-grads = imprinted.backward(acts, d_logits)
-for name, p in imprinted.params().items():
-    p -= 0.01 * grads[name]
+# the parameters are one flat vector `theta`, and backward writes the
+# gradient into the flat vector `grad` of the same layout
+imprinted.theta -= 0.01 * imprinted.backward(acts, d_logits)
 print(f"one gradient step from the imprinted head: CE {loss:.4f} -> "
       f"{cross_entropy_loss(imprinted.forward(target.labeled_x), target.labeled_y)[0]:.4f}")

@@ -51,8 +51,13 @@ print(f"AKC gate weights:            {w.astype(int).tolist()}")
 acts = tgt_ext.activations(x)  # one forward; backward takes these back
 value, d_f, frac = akc_loss(acts[-1], f0, w, mode="mse")
 print(f"AKC loss {value:.4f}, selected fraction {frac:.2f}")
-grads = tgt_ext.backward(acts, d_f)
-print(f"gradient keys (target extractor only): {sorted(grads)}")
+# backward writes each layer's gradient into arrays shaped like its
+# parameters (a Classifier passes views of its one flat gradient vector)
+d_w = [np.empty_like(w) for w in tgt_ext.weights]
+d_b = [np.empty_like(b) for b in tgt_ext.biases]
+tgt_ext.backward(acts, d_f, (d_w, d_b))
+print(f"gradient shapes (target extractor only): "
+      f"{[g.shape for g in d_w]}, {[g.shape for g in d_b]}")
 
 # identical extractors -> zero penalty regardless of the gate
 v0, _, _ = akc_loss(f0, f0, w, "mse")

@@ -234,6 +234,10 @@ def main(argv=None) -> int:
     except AkcArcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # e.g. a layer too wide for this machine
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

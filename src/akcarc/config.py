@@ -53,10 +53,17 @@ class ExperimentConfig:
     # ------------------------------------------------------------------ flags
 
     def method_parts(self):
+        """The method's "+"-separated tokens: at least one, each known and
+        named once."""
         parts = [p.strip() for p in self.method.split("+") if p.strip()]
+        if not parts:
+            raise ConfigError(f"method: no method token in {self.method!r}")
         for p in parts:
             if p not in METHOD_TOKENS:
                 raise ConfigError(f"method: unknown token {p!r}")
+        repeated = sorted({p for p in parts if parts.count(p) > 1})
+        if repeated:
+            raise ConfigError(f"method: token {repeated[0]!r} repeats in {self.method!r}")
         return parts
 
     def ssl_method(self) -> str:

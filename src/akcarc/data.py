@@ -29,14 +29,19 @@ class SyntheticTaskSpec:
     seed: int = 0
 
     def validate(self):
+        """Check the task's fields; each ConfigError names its fields as a
+        run's config does (`task.<field>`)."""
         if self.target_classes < 2 or self.source_classes < self.target_classes:
-            raise ConfigError("need source_classes >= target_classes >= 2")
+            raise ConfigError(
+                "need task.source_classes >= task.target_classes >= 2")
         if self.input_dim < 2:
-            raise ConfigError("input_dim must be >= 2")
+            raise ConfigError("task.input_dim must be >= 2")
         if self.cluster_std <= 0:
-            raise ConfigError("cluster_std must be > 0")
-        if min(self.source_train, self.target_train, self.target_test) < 1:
-            raise ConfigError("all split sizes must be >= 1")
+            raise ConfigError("task.cluster_std must be > 0")
+        small = [f"task.{name}" for name in ("source_train", "target_train", "target_test")
+                 if getattr(self, name) < 1]
+        if small:
+            raise ConfigError(f"split sizes must be >= 1: {', '.join(small)}")
         return self
 
 
@@ -132,9 +137,11 @@ def split_labeled(target: SplitSet, n: int, seed: int) -> SplitSet:
     x, y = target.labeled_x, target.labeled_y
     n_classes = int(y.max()) + 1
     if n < n_classes:
-        raise InvalidSplit(f"n={n} < {n_classes} classes (imprinting needs each)")
+        raise InvalidSplit(
+            f"n_labeled={n} < {n_classes} classes (imprinting needs each)")
     if n > x.shape[0]:
-        raise InvalidSplit(f"n={n} exceeds available {x.shape[0]} examples")
+        raise InvalidSplit(
+            f"n_labeled={n} exceeds available {x.shape[0]} examples")
     rng = np.random.default_rng(seed)
     per_class, extra = divmod(n, n_classes)
     order = rng.permutation(n_classes)
@@ -144,7 +151,8 @@ def split_labeled(target: SplitSet, n: int, seed: int) -> SplitSet:
         rng.shuffle(idx)
         take = per_class + (1 if rank < extra else 0)
         if take > idx.size:
-            raise InvalidSplit(f"class {c} has only {idx.size} examples, need {take}")
+            raise InvalidSplit(
+                f"n_labeled={n}: class {c} has only {idx.size} examples, need {take}")
         chosen.append(idx[:take])
     chosen = np.sort(np.concatenate(chosen))
     mask = np.zeros(x.shape[0], dtype=bool)

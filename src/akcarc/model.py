@@ -1,4 +1,5 @@
-"""Two-part network (feature extractor + linear head), its backward pass,
+"""Two-part network (feature extractor + linear head) over one flat
+parameter vector, its backward pass into one flat gradient vector,
 imprinting initialization, EMA copies, and checkpoint round-tripping."""
 
 import copy
@@ -40,10 +41,12 @@ class MlpExtractor:
         if a.shape[1] != self.dims[0]:
             raise ShapeError(f"input dim {a.shape[1]} != {self.dims[0]}")
         acts = [a]
-        n_layers = len(self.weights)
+        last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = acts[-1] @ w + b
-            a = np.maximum(z, 0.0) if i < n_layers - 1 else z
+            a = a @ w
+            a += b
+            if i < last:
+                np.maximum(a, 0.0, out=a)
             acts.append(a)
         return acts
 
@@ -51,23 +54,23 @@ class MlpExtractor:
         """Features of a batch."""
         return self.activations(x)[-1]
 
-    def backward(self, acts, d_features: np.ndarray):
-        """Parameter gradients from dL/dF at the activations `acts` of one
-        batch. Returns {"W0": ..., "b0": ..., ...}; does not mutate
-        parameters.
+    def backward(self, acts, d_features: np.ndarray, out):
+        """Write the parameter gradients of one batch into `out` = (weight
+        gradients, bias gradients), two lists of arrays shaped like
+        `weights` and `biases`, from dL/dF at the activations `acts` of that
+        batch. Mutates neither the parameters nor `d_features`.
         """
-        d = as_tensor2(d_features)
-        if d.shape != acts[-1].shape:
-            raise ShapeError(f"gradient shape {d.shape} != {acts[-1].shape}")
-        grads = {}
+        if d_features.shape != acts[-1].shape:
+            raise ShapeError(f"gradient shape {d_features.shape} != {acts[-1].shape}")
+        d_w, d_b = out
+        d = d_features
         for i in reversed(range(len(self.weights))):
-            # hidden layers ended in relu; acts[i+1] > 0 marks active units
-            if i < len(self.weights) - 1:
-                d = d * (acts[i + 1] > 0)
-            grads[f"W{i}"] = acts[i].T @ d
-            grads[f"b{i}"] = d.sum(axis=0, keepdims=True)
-            d = d @ self.weights[i].T
-        return grads
+            np.matmul(acts[i].T, d, out=d_w[i])
+            np.add.reduce(d, axis=0, keepdims=True, out=d_b[i])
+            if i:
+                d = d @ self.weights[i].T
+                # layer i - 1 ended in relu; acts[i] > 0 marks active units
+                d *= acts[i] > 0
 
     def params(self):
         out = {}
@@ -95,25 +98,63 @@ class LinearHead:
         f = as_tensor2(features)
         if f.shape[1] != self.w.shape[1]:
             raise ShapeError(f"feature dim {f.shape[1]} != {self.w.shape[1]}")
-        return f @ self.w.T + self.b
+        z = f @ self.w.T
+        z += self.b
+        return z
 
-    def backward(self, features: np.ndarray, d_logits: np.ndarray):
-        """Returns ({"W": dW, "b": db}, dL/dFeatures)."""
-        f, d = as_tensor2(features), as_tensor2(d_logits)
-        if d.shape != (f.shape[0], self.w.shape[0]):
-            raise ShapeError(f"bad logits-gradient shape {d.shape}")
-        return {"W": d.T @ f, "b": d.sum(axis=0, keepdims=True)}, d @ self.w
+    def backward(self, features: np.ndarray, d_logits: np.ndarray, out):
+        """Write dL/dW and dL/db into `out` = (dW, db), arrays shaped like
+        `w` and `b`, and return dL/dFeatures."""
+        if d_logits.shape != (features.shape[0], self.w.shape[0]):
+            raise ShapeError(f"bad logits-gradient shape {d_logits.shape}")
+        np.matmul(d_logits.T, features, out=out[0])
+        np.add.reduce(d_logits, axis=0, keepdims=True, out=out[1])
+        return d_logits @ self.w
 
     def params(self):
         return {"W": self.w, "b": self.b}
 
 
 class Classifier:
-    """Extractor plus head; parameters exposed as a flat name -> array dict."""
+    """Extractor plus head over one contiguous float64 parameter vector.
+
+    `theta` holds every parameter: the extractor's W0, b0, W1, b1, ...,
+    then the head's W and b, each in C order. The classifier takes over
+    the extractor and head it is given: their `weights`, `biases`, `w` and
+    `b` become views into `theta`, so updating `theta` in place updates
+    the layers. `grad` has the same layout and is where `backward`
+    writes. `params()` and `named(vec)` name the views.
+    """
 
     def __init__(self, extractor: MlpExtractor, head: LinearHead):
         self.extractor = extractor
         self.head = head
+        arrays = {f"ext.{k}": v for k, v in extractor.params().items()}
+        arrays.update({f"head.{k}": v for k, v in head.params().items()})
+        self._layout = [(name, a.shape) for name, a in arrays.items()]
+        self.theta = np.concatenate([a.ravel() for a in arrays.values()],
+                                    dtype=np.float64)
+        self.grad = np.zeros_like(self.theta)
+        p = list(self.params().values())
+        g = list(self.named(self.grad).values())
+        n = len(extractor.weights)
+        extractor.weights, extractor.biases = p[0:2 * n:2], p[1:2 * n:2]
+        head.w, head.b = p[2 * n:]
+        self._ext_grads = (g[0:2 * n:2], g[1:2 * n:2])
+        self._head_grads = g[2 * n:]
+
+    def named(self, vec: np.ndarray) -> dict:
+        """Views of a vector laid out like `theta` (`theta`, `grad`, or a
+        copy of either), keyed "ext.W0", "ext.b0", ..., "head.W", "head.b"."""
+        out, at = {}, 0
+        for name, shape in self._layout:
+            size = int(np.prod(shape))
+            out[name] = vec[at:at + size].reshape(shape)
+            at += size
+        return out
+
+    def params(self):
+        return self.named(self.theta)
 
     def forward(self, x) -> np.ndarray:
         return self.head.forward(self.extractor.forward(x))
@@ -122,22 +163,22 @@ class Classifier:
         return np.argmax(check_finite(self.forward(x), "logits"), axis=1)
 
     def backward(self, acts, d_logits, d_features=None):
-        """Gradients keyed like params() from dL/dlogits and an optional
-        extra dL/dF, both at the extractor activations `acts` of one batch."""
-        head_grads, d_f = self.head.backward(acts[-1], d_logits)
+        """Write the parameter gradient of dL/dlogits and an optional extra
+        dL/dF, both at the extractor activations `acts` of one batch, into
+        `grad`, and return `grad`. The next backward overwrites it."""
+        d_f = self.head.backward(acts[-1], d_logits, self._head_grads)
         if d_features is not None:
-            d_f = d_f + d_features
-        grads = {f"ext.{k}": v for k, v in self.extractor.backward(acts, d_f).items()}
-        grads.update({f"head.{k}": v for k, v in head_grads.items()})
-        return grads
-
-    def params(self):
-        out = {f"ext.{k}": v for k, v in self.extractor.params().items()}
-        out.update({f"head.{k}": v for k, v in self.head.params().items()})
-        return out
+            d_f += d_features
+        self.extractor.backward(acts, d_f, self._ext_grads)
+        return self.grad
 
     def copy(self) -> "Classifier":
-        return copy.deepcopy(self)
+        """An equal classifier that shares no memory with this one: a new
+        parameter vector, with new layer views into it."""
+        return Classifier(copy.deepcopy(self.extractor), copy.deepcopy(self.head))
+
+    def __deepcopy__(self, memo):
+        return self.copy()
 
 
 class ModelPair:
@@ -170,19 +211,18 @@ def imprint(head: LinearHead, features, labels) -> LinearHead:
             raise MissingClassError(f"class {k} has no labeled example")
         mean = rows.mean(axis=0)
         w[k] = mean / max(np.linalg.norm(mean), 1e-12)
-    head.w = w
-    head.b = np.zeros_like(head.b)
+    head.w[...] = w
+    head.b[...] = 0.0
     return head
 
 
-def ema_update(teacher_params: dict, student_params: dict, alpha: float):
-    """In-place teacher <- alpha * teacher + (1 - alpha) * student."""
-    for name, t in teacher_params.items():
-        s = student_params[name]
-        if t.shape != s.shape:
-            raise ShapeError(f"shape mismatch for {name}: {t.shape} vs {s.shape}")
-        t *= alpha
-        t += (1.0 - alpha) * s
+def ema_update(teacher: np.ndarray, student: np.ndarray, alpha: float):
+    """In-place teacher <- alpha * teacher + (1 - alpha) * student, over two
+    parameter vectors (a `Classifier`'s `theta`) or any equal-shaped arrays."""
+    if teacher.shape != student.shape:
+        raise ShapeError(f"shape mismatch: {teacher.shape} vs {student.shape}")
+    teacher *= alpha
+    teacher += (1.0 - alpha) * student
 
 
 def save_checkpoint(path, model: Classifier):

@@ -23,7 +23,7 @@ def as_tensor2(x) -> np.ndarray:
 
 
 def check_finite(a: np.ndarray, name: str) -> np.ndarray:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidInput(f"{name} contains NaN/Inf")
     return a
 
@@ -36,8 +36,10 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized by max subtraction."""
     z = as_tensor2(z)
     check_finite(z, "logits")
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = z - z.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def entropy_rows(p: np.ndarray) -> np.ndarray:

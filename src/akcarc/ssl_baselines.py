@@ -9,16 +9,21 @@ from .errors import EmptyInput, InvalidLabel
 from .numerics import LOG_CLAMP, as_tensor2, softmax_backward, softmax_rows
 
 
+def _nll_grad(probs, y):
+    """Gradient w.r.t. the logits of the mean negative log-probability of
+    classes `y` under softmax rows `probs`, written over `probs`."""
+    probs[np.arange(probs.shape[0]), y] -= 1.0
+    probs /= probs.shape[0]
+    return probs
+
+
 def _nll(probs, y):
     """Mean negative log-probability of classes `y` under softmax rows
-    `probs`, and its gradient w.r.t. the logits of those rows."""
-    b = probs.shape[0]
-    rows = np.arange(b)
-    value = float(-np.log(np.maximum(probs[rows, y], LOG_CLAMP)).mean())
-    d_logits = probs.copy()
-    d_logits[rows, y] -= 1.0
-    d_logits /= b
-    return value, d_logits
+    `probs`, and its gradient w.r.t. the logits of those rows, written over
+    `probs`."""
+    value = float(-np.log(np.maximum(probs[np.arange(probs.shape[0]), y],
+                                     LOG_CLAMP)).mean())
+    return value, _nll_grad(probs, y)
 
 
 def cross_entropy_loss(logits, y):
@@ -31,6 +36,14 @@ def cross_entropy_loss(logits, y):
     if np.any(y < 0) or np.any(y >= c):
         raise InvalidLabel(f"labels must be in [0, {c})")
     return _nll(softmax_rows(z), y)
+
+
+def cross_entropy_grad(logits, y):
+    """The gradient of `cross_entropy_loss` w.r.t. non-empty logits,
+    without its value, for a loop that would discard the value. The labels
+    `y` (an int array) are not range-checked here: the caller checks them
+    once for the whole set."""
+    return _nll_grad(softmax_rows(logits), y)
 
 
 def pseudo_label_loss(logits, pl_confidence: float):

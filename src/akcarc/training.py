@@ -12,7 +12,7 @@ import numpy as np
 from . import consistency, model, ssl_baselines
 from .config import ExperimentConfig
 from .data import SplitSet, load_task, split_labeled
-from .errors import ConfigError, EmptyInput, InvalidInput, ShapeError
+from .errors import ConfigError, EmptyInput, InvalidInput, InvalidLabel, ShapeError
 from .model import Classifier, LinearHead, MlpExtractor, ModelPair, imprint
 
 METRICS_SCHEMA_VERSION = 1
@@ -36,29 +36,28 @@ def cosine_lr(t: int, total_steps: int, eta0: float) -> float:
 
 
 class SgdMomentum:
-    """SGD with momentum 0.9 and cosine-decayed learning rate. `step`
-    updates the arrays of the parameter dict it was built with in place."""
+    """SGD with momentum 0.9 and cosine-decayed learning rate over one flat
+    parameter vector. `step` updates the vector it was built with (a
+    `Classifier`'s `theta`) in place."""
 
-    def __init__(self, params: dict, eta0: float, total_steps: int):
-        self.params = params
+    def __init__(self, theta: np.ndarray, eta0: float, total_steps: int):
+        self.theta = theta
         self.eta0 = eta0
         self.total_steps = max(total_steps, 1)
         self.t = 0
-        self.velocity = {k: np.zeros_like(v) for k, v in params.items()}
+        self.velocity = np.zeros_like(theta)
 
     def lr(self) -> float:
         return cosine_lr(self.t, self.total_steps, self.eta0)
 
-    def step(self, grads: dict):
-        eta = self.lr()
-        for name, p in self.params.items():
-            g = grads[name]
-            if g.shape != p.shape:
-                raise ShapeError(f"gradient shape mismatch for {name}")
-            v = self.velocity[name]
-            v *= 0.9
-            v += g
-            p -= eta * v
+    def step(self, grad: np.ndarray):
+        """v <- 0.9 v + grad; theta <- theta - lr * v."""
+        if grad.shape != self.theta.shape:
+            raise ShapeError(f"gradient shape {grad.shape} != {self.theta.shape}")
+        v = self.velocity
+        v *= 0.9
+        v += grad
+        self.theta -= self.lr() * v
         self.t += 1
 
 
@@ -94,9 +93,38 @@ class BatchSampler:
         return np.concatenate(out)
 
 
-def sample_batches(labeled: BatchSampler, unlabeled: BatchSampler):
-    """One (labeled, unlabeled) index pair per training step."""
-    return labeled.next(), unlabeled.next()
+def sample_batches(*samplers: BatchSampler) -> tuple:
+    """One index batch per sampler for a training step, drawn in order:
+    (labeled, unlabeled) when fine-tuning, (labeled,) when pre-training."""
+    return tuple(s.next() for s in samplers)
+
+
+def _step_loop(opt: SgdMomentum, samplers, epochs: int, steps_per_epoch: int,
+               step, after_step, end_epoch):
+    """The SGD loop of pre-training and fine-tuning: `epochs` epochs of
+    `steps_per_epoch` steps. A step draws one index batch per sampler,
+    `step(*batches)` returns the flat gradient, `opt` steps, and then
+    `after_step()` runs; `end_epoch(epoch, lr at the epoch's first step)`
+    follows each epoch. Either hook may be None.
+
+    An InvalidInput raised inside the loop (a diverging run's finite check)
+    is re-raised with "epoch E, step S: " in front of its message (S counts
+    the steps of epoch E from 1). A diverging run overflows inside numpy
+    before the typed finite checks see it, so numpy's overflow and invalid
+    warnings are kept off stderr: the InvalidInput is the report."""
+    epoch = s = 0
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(1, epochs + 1):
+                lr = opt.lr()
+                for s in range(1, steps_per_epoch + 1):
+                    opt.step(step(*sample_batches(*samplers)))
+                    if after_step is not None:
+                        after_step()
+                if end_epoch is not None:
+                    end_epoch(epoch, lr)
+    except InvalidInput as exc:
+        raise InvalidInput(f"epoch {epoch}, step {s}: {exc}") from exc
 
 
 def total_loss(target: Classifier, x_l, y_l, x_u, cfg: ExperimentConfig,
@@ -113,10 +141,12 @@ def total_loss(target: Classifier, x_l, y_l, x_u, cfg: ExperimentConfig,
     without ARC). `teacher` is (EMA teacher model, absolute input-noise
     std) for mean teacher.
 
-    Returns (scalar, grads dict over target params, breakdown dict). The
-    breakdown maps each of STEP_COLUMNS to its raw term value or ARC gate
-    selected fraction; the scalar equals the weighted sum of the terms. A
-    non-finite term is an InvalidInput naming its column.
+    Returns (scalar, gradient, breakdown dict). The gradient is the flat
+    vector `target.grad` (laid out like `target.theta`), which the next
+    backward of `target` overwrites. The breakdown maps each of
+    STEP_COLUMNS to its raw term value or ARC gate selected fraction; the
+    scalar equals the weighted sum of the terms. A non-finite term is an
+    InvalidInput naming its column.
     """
     x_l = np.asarray(x_l, dtype=np.float64)
     n_l, n_u = x_l.shape[0], x_u.shape[0]
@@ -177,8 +207,7 @@ def total_loss(target: Classifier, x_l, y_l, x_u, cfg: ExperimentConfig,
     for column in STEP_COLUMNS:
         if not math.isfinite(breakdown[column]):
             raise InvalidInput(f"{column} is not finite")
-    grads = target.backward(acts, d_logits, d_feats)
-    return float(value), grads, breakdown
+    return float(value), target.backward(acts, d_logits, d_feats), breakdown
 
 
 @dataclass
@@ -223,29 +252,28 @@ def accuracy(classifier: Classifier, x, y) -> float:
 def train_supervised(classifier: Classifier, x, y, epochs: int, batch_size: int,
                      eta0: float, rng):
     """Plain cross-entropy training of `classifier` in place (used for
-    source pre-training).
+    source pre-training). The labels must lie in [0, classes of the head).
 
     An InvalidInput raised by a step (the logits of a diverging run are not
     finite) is re-raised with "epoch E, step S: " in front of its message,
     and numpy's overflow warnings are kept off stderr, as in fine-tuning."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=int)
     n = x.shape[0]
+    c = classifier.head.n_classes
+    if n and (y.min() < 0 or y.max() >= c):
+        raise InvalidLabel(f"labels must be in [0, {c})")
     steps_per_epoch = max(1, int(np.ceil(n / batch_size)))
-    total = steps_per_epoch * max(epochs, 1)
-    opt = SgdMomentum(classifier.params(), eta0, total)
+    opt = SgdMomentum(classifier.theta, eta0, steps_per_epoch * max(epochs, 1))
     sampler = BatchSampler(n, min(batch_size, n), rng)
-    epoch = step = 0
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for epoch in range(1, epochs + 1):
-                for step in range(1, steps_per_epoch + 1):
-                    idx = sampler.next()
-                    acts = classifier.extractor.activations(x[idx])
-                    _, d_logits = ssl_baselines.cross_entropy_loss(
-                        classifier.head.forward(acts[-1]), y[idx]
-                    )
-                    opt.step(classifier.backward(acts, d_logits))
-    except InvalidInput as exc:
-        raise InvalidInput(f"epoch {epoch}, step {step}: {exc}") from exc
+    ext, head = classifier.extractor, classifier.head
+
+    def step(idx):
+        acts = ext.activations(x[idx])
+        d_logits = ssl_baselines.cross_entropy_grad(head.forward(acts[-1]), y[idx])
+        return classifier.backward(acts, d_logits)
+
+    _step_loop(opt, (sampler,), epochs, steps_per_epoch, step, None, None)
 
 
 @dataclass
@@ -261,9 +289,11 @@ def run_pipeline(cfg) -> RunResult:
     """Pre-train on the source task, copy and freeze, imprint the target
     head, then fine-tune with the composite loss. Deterministic per seed.
 
-    An InvalidInput raised by a fine-tuning step, or by the evaluation after
-    the last step of an epoch, is re-raised with "epoch E, step S: " in
-    front of its message (S counts the steps of epoch E from 1)."""
+    Pre-training and fine-tuning run the same SGD loop over the model's
+    flat parameter vector. An InvalidInput raised by a fine-tuning step, or
+    by the evaluation after the last step of an epoch, is re-raised with
+    "epoch E, step S: " in front of its message (S counts the steps of
+    epoch E from 1)."""
     if not isinstance(cfg, ExperimentConfig):
         raise ConfigError(
             f"run_pipeline needs an ExperimentConfig, got {type(cfg).__name__}"
@@ -309,17 +339,20 @@ def run_pipeline(cfg) -> RunResult:
     pool_akc_w = consistency.akc_weights(pair.source.head, pool_f0, cfg.eps_k(c_s))
     akc_pool_fraction = float(pool_akc_w.mean())
 
-    teacher = None
+    teacher = ema = None
     if cfg.ssl_method() == "mean_teacher":
         # cfg.noise_std is relative to the pool's mean per-feature std
-        teacher = (copy.deepcopy(target_model),
+        teacher = (target_model.copy(),
                    cfg.noise_std * float(pool_x.std(axis=0).mean()))
-        teacher_params = teacher[0].params()
+
+        def ema():
+            model.ema_update(teacher[0].theta, target_model.theta, cfg.ema_alpha)
 
     steps_per_epoch = max(1, int(np.ceil(pool_x.shape[0] / cfg.batch_unlabeled)))
     metrics = MetricsLog()
+    sums = dict.fromkeys(STEP_COLUMNS, 0.0)  # this epoch's per-step values
 
-    def log_epoch(epoch, lr, sums):
+    def log_epoch(epoch, lr):
         metrics.append(
             epoch=epoch, lr=lr, akc_fraction=akc_pool_fraction,
             train_acc=accuracy(target_model, target_set.labeled_x,
@@ -328,44 +361,30 @@ def run_pipeline(cfg) -> RunResult:
                               target_set.test_y),
             **{k: sums[k] / steps_per_epoch for k in STEP_COLUMNS},
         )
+        sums.update(dict.fromkeys(STEP_COLUMNS, 0.0))
 
-    log_epoch(0, cfg.eta0, dict.fromkeys(STEP_COLUMNS, 0.0))
+    log_epoch(0, cfg.eta0)
     total_steps = steps_per_epoch * cfg.epochs
     # ARC's window size: a window never holds more rows than the run pushes
     w = max(1, min(cfg.buffer_capacity, cfg.buffer_k,
                    total_steps * max(cfg.batch_labeled, cfg.batch_unlabeled)))
     arc = consistency.ArcState(w) if "arc" in cfg.method_parts() else None
-    opt = SgdMomentum(target_model.params(), cfg.eta0, total_steps)
-    sampler_l = BatchSampler(n_l, min(cfg.batch_labeled, n_l), rng_train)
-    sampler_u = BatchSampler(pool_x.shape[0], cfg.batch_unlabeled, rng_train)
 
-    epoch = step = 0
-    try:
-        # A diverging run overflows inside numpy before the typed finite
-        # checks (total_loss's terms, softmax_rows, accuracy) see it; their
-        # InvalidInput is the report, so numpy's warnings are kept off stderr.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for epoch in range(1, cfg.epochs + 1):
-                sums = dict.fromkeys(STEP_COLUMNS, 0.0)
-                lr_at_epoch_start = opt.lr()
-                for step in range(1, steps_per_epoch + 1):
-                    idx_l, idx_u = sample_batches(sampler_l, sampler_u)
-                    x_l = target_set.labeled_x[idx_l]
-                    y_l = target_set.labeled_y[idx_l]
-                    x_u = pool_x[idx_u]
-                    idx_lu = np.concatenate([idx_l, idx_u])
-                    _, grads, bd = total_loss(
-                        target_model, x_l, y_l, x_u, cfg, arc,
-                        (pool_f0[idx_lu], pool_akc_w[idx_lu]),
-                        rng=rng_noise, teacher=teacher,
-                    )
-                    opt.step(grads)
-                    if teacher is not None:
-                        model.ema_update(teacher_params, opt.params, cfg.ema_alpha)
-                    for k in sums:
-                        sums[k] += bd[k]
-                log_epoch(epoch, lr_at_epoch_start, sums)
-    except InvalidInput as exc:
-        raise InvalidInput(f"epoch {epoch}, step {step}: {exc}") from exc
+    def step(idx_l, idx_u):
+        idx_lu = np.concatenate([idx_l, idx_u])
+        _, grad, bd = total_loss(
+            target_model, target_set.labeled_x[idx_l], target_set.labeled_y[idx_l],
+            pool_x[idx_u], cfg, arc, (pool_f0[idx_lu], pool_akc_w[idx_lu]),
+            rng=rng_noise, teacher=teacher,
+        )
+        for k in sums:
+            sums[k] += bd[k]
+        return grad
 
+    _step_loop(
+        SgdMomentum(target_model.theta, cfg.eta0, total_steps),
+        (BatchSampler(n_l, min(cfg.batch_labeled, n_l), rng_train),
+         BatchSampler(pool_x.shape[0], cfg.batch_unlabeled, rng_train)),
+        cfg.epochs, steps_per_epoch, step, ema, log_epoch,
+    )
     return RunResult(metrics, pair, src, target_set, akc_pool_fraction)

@@ -45,13 +45,15 @@ def term_grads(model, x, term):
     """Value and parameter gradients of a loss term written on features and
     logits, run as `total_loss` runs it: `activations`, then the term, then
     `Classifier.backward`. `term(features, logits)` returns (value,
-    d_logits, d_features); either gradient may be None."""
+    d_logits, d_features); either gradient may be None. The gradients are
+    a copy of the model's flat gradient, keyed like `model.params()`, so a
+    later backward leaves them as they are."""
     acts = model.extractor.activations(x)
     logits = model.head.forward(acts[-1])
     value, d_logits, d_features = term(acts[-1], logits)
     if d_logits is None:
         d_logits = np.zeros_like(logits)
-    return value, model.backward(acts, d_logits, d_features)
+    return value, model.named(model.backward(acts, d_logits, d_features).copy())
 
 
 def hold_sigmas(monkeypatch, sigmas):

@@ -71,3 +71,90 @@ def dense_mmd2_value_grad(v, u, sigmas):
     # d/dz_i of sum_ij w_ij k(z_i, z_j) = 2 sum_j w_ij k_ij (z_j - z_i) / s^2
     grad = 2.0 * (dk @ z - dk.sum(axis=1)[:, None] * z)
     return float(value), grad[:m], grad[m:]
+
+
+# ---------------------------------------------------------------------------
+# the per-array training step: forward, backward, momentum and EMA one
+# parameter array at a time, each array its own object, as the package ran
+# them before it kept a classifier's parameters in one flat vector
+
+
+def reference_sampler(n, batch_size, rng):
+    """Uniform batches without replacement; an epoch that runs out
+    reshuffles and completes the batch from the fresh permutation."""
+    order, pos = rng.permutation(n), 0
+    while True:
+        out, need = [], batch_size
+        while need > 0:
+            if pos == n:
+                order, pos = rng.permutation(n), 0
+            take = min(need, n - pos)
+            out.append(order[pos:pos + take])
+            pos += take
+            need -= take
+        yield np.concatenate(out)
+
+
+def reference_activations(weights, biases, x):
+    """[x, relu hidden..., linear features] of an MLP."""
+    acts = [x]
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = acts[-1] @ w + b
+        acts.append(np.maximum(z, 0.0) if i < len(weights) - 1 else z)
+    return acts
+
+
+def reference_ce_grad(logits, y):
+    """d/dlogits of the mean cross-entropy: (softmax - onehot) / B."""
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    d = e / e.sum(axis=1, keepdims=True)
+    d[np.arange(len(y)), y] -= 1.0
+    return d / len(y)
+
+
+def reference_backward(weights, head_w, acts, d_logits):
+    """Per-array gradients [dW0, db0, dW1, db1, ..., dHeadW, dHeadb]."""
+    d = d_logits @ head_w
+    head = [d_logits.T @ acts[-1], d_logits.sum(axis=0, keepdims=True)]
+    grads = []
+    for i in reversed(range(len(weights))):
+        if i < len(weights) - 1:
+            d = d * (acts[i + 1] > 0)
+        grads = [acts[i].T @ d, d.sum(axis=0, keepdims=True)] + grads
+        d = d @ weights[i].T
+    return grads + head
+
+
+def reference_momentum_step(params, velocity, grads, eta):
+    """v <- 0.9 v + g; p <- p - eta v, array by array, in place."""
+    for p, v, g in zip(params, velocity, grads):
+        v *= 0.9
+        v += g
+        p -= eta * v
+
+
+def reference_ema(teacher, student, alpha):
+    """teacher <- alpha teacher + (1 - alpha) student, array by array."""
+    for t, s in zip(teacher, student):
+        t *= alpha
+        t += (1.0 - alpha) * s
+
+
+def reference_train_supervised(params, x, y, epochs, batch_size, eta0, rng):
+    """Cross-entropy pre-training of the arrays `params` = [W0, b0, ...,
+    head W, head b] in place, per array: the batches, cosine schedule,
+    forward, backward and momentum of `train_supervised`."""
+    n = x.shape[0]
+    steps_per_epoch = max(1, int(np.ceil(n / batch_size)))
+    total = steps_per_epoch * max(epochs, 1)
+    weights, biases = params[0:-2:2], params[1:-2:2]
+    head_w, head_b = params[-2], params[-1]
+    velocity = [np.zeros_like(p) for p in params]
+    batches = reference_sampler(n, min(batch_size, n), rng)
+    for t in range(epochs * steps_per_epoch):
+        idx = next(batches)
+        acts = reference_activations(weights, biases, x[idx])
+        d_logits = reference_ce_grad(acts[-1] @ head_w.T + head_b, y[idx])
+        eta = eta0 * float(np.cos(7.0 * np.pi * t / (16.0 * total)))
+        reference_momentum_step(params, velocity,
+                                reference_backward(weights, head_w, acts, d_logits), eta)

@@ -174,7 +174,7 @@ def test_criterion_2_gradient_suite(monkeypatch):
     def composite():
         return total_loss(target, x_l, y_l, x_u, cfg, copy.deepcopy(seed), source_lu)
 
-    _, g, _ = composite()
+    g = target.named(composite()[1].copy())
     assert_grads_match(params, g, lambda: composite()[0], picks=2)
 
     elapsed = time.time() - t0
@@ -269,16 +269,16 @@ def test_criterion_5_schedule_and_optimizer():
     closed = 0.123 * np.cos(7 * np.pi / 16)
     assert abs(cosine_lr(50, 50, 0.123) - closed) < 1e-12
 
-    p = {"w": np.array([[2.0]])}
+    p = np.array([2.0])
     opt = SgdMomentum(p, eta0=0.1, total_steps=2)
-    g = {"w": np.array([[1.5]])}
+    g = np.array([1.5])
     # hand-unrolled: v1 = 1.5, p1 = 2 - 0.1*1.5; v2 = 0.9*1.5 + 1.5
     opt.step(g)
-    assert abs(p["w"][0, 0] - (2.0 - 0.1 * 1.5)) < 1e-12
+    assert abs(p[0] - (2.0 - 0.1 * 1.5)) < 1e-12
     eta1 = 0.1 * np.cos(7 * np.pi * 1 / (16 * 2))
     expect = (2.0 - 0.1 * 1.5) - eta1 * (0.9 * 1.5 + 1.5)
     opt.step(g)
-    assert abs(p["w"][0, 0] - expect) < 1e-12
+    assert abs(p[0] - expect) < 1e-12
     report(5, "schedule and optimizer", True)
 
 

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from akcarc import model
 from akcarc.cli import main
 from akcarc.config import ExperimentConfig
 from akcarc.data import SyntheticTaskSpec, generate_task, load_task
@@ -183,6 +184,64 @@ class TestRunCommand:
         assert error["type"] == "ParseError"
         assert error["message"].startswith(f"{path}: ")
         assert capsys.readouterr().err == f"error: {error['message']}\n"
+
+    @pytest.mark.parametrize("method,reason", [
+        ("", "no method token in ''"), ("+", "no method token in '+'"),
+        ("arc+arc", "token 'arc' repeats in 'arc+arc'"),
+        ("akc+arc+akc", "token 'akc' repeats in 'akc+arc+akc'"),
+    ])
+    def test_empty_or_repeated_method_is_a_config_error(self, tmp_path, capsys,
+                                                        method, reason):
+        out = tmp_path / "x"
+        code = main(["run", "--out", str(out), "--set", f"method={method}"] + TINY)
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: method: {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("assignment,message", [
+        ("task.cluster_std=-1", "task.cluster_std must be > 0"),
+        ("task.input_dim=1", "task.input_dim must be >= 2"),
+        ("task.target_classes=1",
+         "need task.source_classes >= task.target_classes >= 2"),
+        ("task.target_train=0", "split sizes must be >= 1: task.target_train"),
+        ("task.source_train=0", "split sizes must be >= 1: task.source_train"),
+    ])
+    def test_task_errors_name_their_dotted_fields(self, tmp_path, capsys,
+                                                  assignment, message):
+        code = main(["run", "--out", str(tmp_path / "x"), "--set", assignment])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_every_split_size_below_one_is_named(self):
+        spec = SyntheticTaskSpec(source_train=0, target_train=5, target_test=0)
+        with pytest.raises(ConfigError, match=(
+                r"^split sizes must be >= 1: task.source_train, task.target_test$")):
+            spec.validate()
+
+    @pytest.mark.parametrize("n,message", [
+        (3, "n_labeled=3 < 4 classes (imprinting needs each)"),
+        (4000, "n_labeled=4000 exceeds available 200 examples"),
+    ])
+    def test_infeasible_n_labeled_names_the_field(self, tmp_path, capsys, n, message):
+        out = tmp_path / "x"
+        code = main(["run", "--out", str(out), "--set", f"n_labeled={n}"] + TINY)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        with open(out / "error.json") as fh:
+            assert json.load(fh) == {"type": "InvalidSplit", "message": message}
+
+    @pytest.mark.parametrize("text", ["", "Unable to allocate 47.7 GiB"])
+    def test_out_of_memory_is_one_line_and_exit_1(self, tmp_path, capsys,
+                                                  monkeypatch, text):
+        def glorot_uniform(rng, fan_in, fan_out):
+            raise MemoryError(text)
+
+        monkeypatch.setattr(model, "glorot_uniform", glorot_uniform)
+        code = main(["run", "--out", str(tmp_path / "x"),
+                     "--set", "feature_dim=100000000"] + TINY)
+        assert code == 1
+        want = f"error: out of memory: {text}\n" if text else "error: out of memory\n"
+        assert capsys.readouterr().err == want
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = main(["run", "--out", str(tmp_path / "x"),

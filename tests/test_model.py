@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from akcarc.model import (
 from akcarc.ssl_baselines import cross_entropy_loss
 
 from conftest import assert_grads_match, term_grads
+from oracles import reference_backward
 
 
 def loop_forward(ext, x):
@@ -100,8 +103,10 @@ class TestBackward:
     def test_zero_upstream_zero_grads(self):
         ext = MlpExtractor([3, 4, 2], np.random.default_rng(4))
         acts = ext.activations(np.random.default_rng(5).normal(size=(3, 3)))
-        grads = ext.backward(acts, np.zeros((3, 2)))
-        assert all(np.all(g == 0) for g in grads.values())
+        out = ([np.full_like(w, np.nan) for w in ext.weights],
+               [np.full_like(b, np.nan) for b in ext.biases])
+        ext.backward(acts, np.zeros((3, 2)), out)
+        assert all(np.all(g == 0) for grads in out for g in grads)
 
     def test_cross_entropy_gradient_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -160,24 +165,24 @@ class TestImprint:
 
 class TestEmaUpdate:
     def test_alpha_zero_copies_student(self):
-        t = {"w": np.zeros((2, 2))}
-        s = {"w": np.ones((2, 2))}
+        t = np.zeros((2, 2))
+        s = np.ones((2, 2))
         ema_update(t, s, 0.0)
-        np.testing.assert_array_equal(t["w"], s["w"])
+        np.testing.assert_array_equal(t, s)
 
     def test_alpha_one_keeps_teacher(self):
-        t = {"w": np.full((2, 2), 5.0)}
-        ema_update(t, {"w": np.ones((2, 2))}, 1.0)
-        assert np.all(t["w"] == 5.0)
+        t = np.full((2, 2), 5.0)
+        ema_update(t, np.ones((2, 2)), 1.0)
+        assert np.all(t == 5.0)
 
     def test_scalar_arithmetic(self):
-        t = {"w": np.array([[0.0]])}
-        ema_update(t, {"w": np.array([[1.0]])}, 0.999)
-        assert t["w"][0, 0] == pytest.approx(0.001, abs=1e-15)
+        t = np.array([[0.0]])
+        ema_update(t, np.array([[1.0]]), 0.999)
+        assert t[0, 0] == pytest.approx(0.001, abs=1e-15)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            ema_update({"w": np.zeros((2, 2))}, {"w": np.zeros(3)}, 0.5)
+            ema_update(np.zeros((2, 2)), np.zeros(3), 0.5)
 
 
 class TestCheckpoint:
@@ -204,3 +209,64 @@ class TestModelPair:
         pair = ModelPair(source=src, target=src.copy())
         src.extractor.weights[0][...] = 999.0
         assert not np.any(pair.source.extractor.weights[0] == 999.0)
+
+
+def layer_arrays(model):
+    """A classifier's parameter arrays as its layers hold them, in the
+    order of its flat vector."""
+    ext = model.extractor
+    pairs = [a for wb in zip(ext.weights, ext.biases) for a in wb]
+    return pairs + [model.head.w, model.head.b]
+
+
+class TestFlatParameters:
+    def make(self, seed=13):
+        rng = np.random.default_rng(seed)
+        return Classifier(MlpExtractor([5, 8, 4], rng), LinearHead(3, 4, rng))
+
+    def test_params_and_layers_alias_the_flat_vector(self):
+        model = self.make()
+        params = model.params()
+        assert list(params) == ["ext.W0", "ext.b0", "ext.W1", "ext.b1", "head.W", "head.b"]
+        assert [p.shape for p in params.values()] == [
+            (5, 8), (1, 8), (8, 4), (1, 4), (3, 4), (1, 3)]
+        assert model.theta.shape == model.grad.shape == (
+            sum(p.size for p in params.values()),)
+        assert model.theta.dtype == model.grad.dtype == np.float64
+        model.theta[:] = np.arange(model.theta.size)
+        for view in list(params.values()) + layer_arrays(model):
+            assert view.base is model.theta
+        assert np.array_equal(np.concatenate([a.ravel() for a in layer_arrays(model)]),
+                              model.theta)
+        model.head.b[0, 2] = -1.0  # a write through a layer reaches theta
+        assert model.theta[-1] == -1.0
+
+    def test_backward_writes_the_flat_gradient(self):
+        model = self.make()
+        rng = np.random.default_rng(14)
+        acts = model.extractor.activations(rng.normal(size=(6, 5)))
+        d_logits = rng.normal(size=(6, 3))
+        grad = model.backward(acts, d_logits)
+        assert grad is model.grad
+        want = reference_backward(model.extractor.weights, model.head.w, acts, d_logits)
+        assert [g.tobytes() for g in model.named(grad).values()] == [
+            g.tobytes() for g in want]
+
+    @pytest.mark.parametrize("how", ["copy", "deepcopy"])
+    def test_a_copy_shares_no_memory_with_its_original(self, how):
+        model = self.make()
+        twin = model.copy() if how == "copy" else copy.deepcopy(model)
+        assert np.array_equal(twin.theta, model.theta)
+        for a in [twin.theta, twin.grad] + layer_arrays(twin):
+            for b in [model.theta, model.grad] + layer_arrays(model):
+                assert not np.shares_memory(a, b)
+        assert all(a.base is twin.theta for a in layer_arrays(twin))
+        twin.theta += 1.0
+        assert not np.array_equal(twin.theta, model.theta)
+        assert np.array_equal(twin.extractor.weights[0], model.extractor.weights[0] + 1.0)
+
+    def test_imprint_writes_into_the_flat_vector(self):
+        model = self.make()
+        imprint(model.head, np.random.default_rng(15).normal(size=(3, 4)), [0, 1, 2])
+        assert model.head.w.base is model.theta and model.head.b.base is model.theta
+        assert np.array_equal(model.theta[-15:-3], model.head.w.ravel())

@@ -195,10 +195,10 @@ class TestTeacherEma:
     def test_recurrence_hand_unrolled(self):
         # theta' <- alpha theta' + (1-alpha) theta, three steps by hand
         alpha = 0.9
-        t = {"w": np.array([[1.0]])}
+        t = np.array([[1.0]])
         expect = 1.0
         for step_val in (2.0, 3.0, 4.0):
-            ema_update(t, {"w": np.array([[step_val]])}, alpha)
+            ema_update(t, np.array([[step_val]]), alpha)
             expect = alpha * expect + (1 - alpha) * step_val
-            assert t["w"][0, 0] == pytest.approx(expect, abs=1e-14)
+            assert t[0, 0] == pytest.approx(expect, abs=1e-14)
 

@@ -5,8 +5,9 @@ import pytest
 
 from akcarc.config import ExperimentConfig
 from akcarc.consistency import ArcState
-from akcarc import training
-from akcarc.errors import ConfigError, EmptyInput, InvalidInput
+from akcarc import model as model_module, training
+from akcarc.data import SyntheticTaskSpec, generate_task
+from akcarc.errors import ConfigError, EmptyInput, InvalidInput, InvalidLabel, ShapeError
 from akcarc.model import Classifier, LinearHead, MlpExtractor
 from akcarc.ssl_baselines import cross_entropy_loss
 from akcarc.training import (
@@ -19,6 +20,7 @@ from akcarc.training import (
     cosine_lr,
     run_pipeline,
     total_loss,
+    train_supervised,
 )
 
 from conftest import (
@@ -28,6 +30,7 @@ from conftest import (
     seeded_arc,
     term_grads,
 )
+import oracles
 
 
 class TestCosineLr:
@@ -61,25 +64,105 @@ class TestCosineLr:
 class TestSgdMomentum:
     def test_hand_unrolled_recurrence(self):
         # v <- 0.9 v + g; p <- p - eta_t v, with the cosine schedule
-        p = {"w": np.array([[1.0]])}
+        p = np.array([1.0])
         opt = SgdMomentum(p, eta0=0.1, total_steps=4)
-        g = {"w": np.array([[2.0]])}
+        g = np.array([2.0])
         ref_p, ref_v = 1.0, 0.0
         for t in range(4):
             eta = 0.1 * np.cos(7 * np.pi * t / (16 * 4))
             ref_v = 0.9 * ref_v + 2.0
             ref_p -= eta * ref_v
             opt.step(g)
-            assert p["w"][0, 0] == pytest.approx(ref_p, abs=1e-14)
+            assert p[0] == pytest.approx(ref_p, abs=1e-14)
 
     def test_velocity_persists_across_steps(self):
-        p = {"w": np.array([[0.0]])}
+        p = np.array([0.0])
         opt = SgdMomentum(p, eta0=1.0, total_steps=100)
-        zero_g = {"w": np.array([[0.0]])}
-        opt.step({"w": np.array([[1.0]])})
-        before = p["w"][0, 0]
+        zero_g = np.array([0.0])
+        opt.step(np.array([1.0]))
+        before = p[0]
         opt.step(zero_g)  # coasting on momentum alone
-        assert p["w"][0, 0] < before
+        assert p[0] < before
+
+
+class TestFlatStepLoop:
+    """The flat parameter vector and the one SGD loop against the per-array
+    reference step of `oracles`."""
+
+    def test_train_supervised_matches_the_per_array_reference(self):
+        source, _ = generate_task(SyntheticTaskSpec(
+            source_train=300, target_train=20, target_test=10, seed=4))
+        rng = np.random.default_rng(8)
+        clf = Classifier(MlpExtractor([16, 12, 10, 6], rng), LinearHead(10, 6, rng))
+        start = [p.copy() for p in clf.params().values()]
+        ref = [p.copy() for p in start]
+        # 300 rows in batches of 32: every epoch ends in a wrapped batch
+        train_supervised(clf, source.labeled_x, source.labeled_y, 3, 32, 0.05,
+                         np.random.default_rng(9))
+        oracles.reference_train_supervised(ref, source.labeled_x, source.labeled_y,
+                                           3, 32, 0.05, np.random.default_rng(9))
+        got = list(clf.params().values())
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+        assert not any(np.array_equal(a, b) for a, b in zip(got, start))
+
+    def test_optimizer_and_ema_match_the_per_array_reference(self):
+        rng = np.random.default_rng(10)
+        clf = Classifier(MlpExtractor([5, 8, 4], rng), LinearHead(3, 4, rng))
+        teacher = clf.copy()
+        ref = [p.copy() for p in clf.params().values()]
+        ref_teacher = [p.copy() for p in ref]
+        ref_v = [np.zeros_like(p) for p in ref]
+        opt = SgdMomentum(clf.theta, 0.1, 5)
+        for t in range(5):
+            grad = rng.normal(size=clf.theta.shape)
+            oracles.reference_momentum_step(
+                ref, ref_v, list(clf.named(grad).values()), cosine_lr(t, 5, 0.1))
+            opt.step(grad)
+            model_module.ema_update(teacher.theta, clf.theta, 0.9)
+            oracles.reference_ema(ref_teacher, ref, 0.9)
+        assert [a.tobytes() for a in clf.params().values()] == [a.tobytes() for a in ref]
+        assert ([a.tobytes() for a in teacher.params().values()]
+                == [a.tobytes() for a in ref_teacher])
+
+    def test_a_gradient_of_another_layout_is_rejected(self):
+        opt = SgdMomentum(np.zeros(4), 0.1, 5)
+        with pytest.raises(ShapeError):
+            opt.step(np.zeros(3))
+
+    def test_labels_outside_the_head_are_rejected_before_any_step(self):
+        rng = np.random.default_rng(11)
+        clf = Classifier(MlpExtractor([3, 4], rng), LinearHead(2, 4, rng))
+        before = clf.theta.copy()
+        for bad in ([0, 2, 1], [0, -1, 1]):
+            with pytest.raises(InvalidLabel):
+                train_supervised(clf, np.ones((3, 3)), np.array(bad), 1, 2, 0.1,
+                                 np.random.default_rng(0))
+        assert np.array_equal(clf.theta, before)
+
+    def test_run_copies_share_no_memory(self, monkeypatch):
+        teachers = []
+        inner = model_module.ema_update
+
+        def ema_update(teacher, student, alpha):
+            teachers.append(teacher)
+            return inner(teacher, student, alpha)
+
+        monkeypatch.setattr(model_module, "ema_update", ema_update)
+        res = run_pipeline(tiny_config(method="mean_teacher", epochs=1))
+        assert teachers
+        thetas = [res.source_model.theta, res.pair.source.theta,
+                  res.pair.target.theta, teachers[0]]
+        for i, a in enumerate(thetas):
+            for b in thetas[i + 1:]:
+                assert not np.shares_memory(a, b)
+        for clf in (res.source_model, res.pair.source, res.pair.target):
+            layers = clf.extractor.weights + clf.extractor.biases + [clf.head.w, clf.head.b]
+            assert all(np.shares_memory(a, clf.theta) for a in layers)
+
+    def test_a_diverging_supervised_run_names_its_epoch_step_and_term(self):
+        with pytest.raises(InvalidInput,
+                           match=r"^epoch 1, step \d+: logits contains NaN/Inf$"):
+            run_pipeline(tiny_config(method="supervised", eta0=1e3, epochs=2))
 
 
 class TestBatchSampler:
@@ -135,10 +218,11 @@ class TestTotalLoss:
     def test_supervised_only_matches_ce(self, small_pair):
         x_l, y_l, x_u = self.make_inputs()
         cfg = self.loss_cfg(method="supervised")
-        value, grads, bd = total_loss(
+        value, grad, bd = total_loss(
             small_pair.target, x_l, y_l, x_u, cfg, None,
             frozen_source(small_pair, x_l, x_u, cfg),
         )
+        grads = small_pair.target.named(grad.copy())
         v_ce, g_ce = term_grads(
             small_pair.target, x_l,
             lambda features, logits: (*cross_entropy_loss(logits, y_l), None),
@@ -161,7 +245,7 @@ class TestTotalLoss:
             return total_loss(small_pair.target, x_l, y_l, x_u, cfg,
                               copy.deepcopy(seed), source)
 
-        _, grads, _ = call()
+        grads = small_pair.target.named(call()[1].copy())
         assert_grads_match(
             small_pair.target.params(), grads, lambda: call()[0], rel=5e-4
         )
