@@ -3,6 +3,7 @@ methods. Each run directory is self-describing (config + metrics + schema
 version)."""
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -11,7 +12,7 @@ import sys
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import AkcArcError, ConfigError
+from .errors import AkcArcError, ConfigError, WriteError
 from .model import save_checkpoint
 from .training import run_pipeline
 
@@ -50,30 +51,53 @@ def _make_dir(path: str):
                           f"{exc.strerror}") from None
 
 
+def _write(path: str, write):
+    """Write the file `path` by calling `write` on a temporary name in the
+    same directory, then move it into place, so that a file under its final
+    name is always whole. An OSError removes the temporary file and is a
+    WriteError naming `path`."""
+    root, ext = os.path.splitext(path)
+    tmp = f"{root}.tmp{ext}"  # np.savez appends .npz to a name without it
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise WriteError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _write_error(path: str, exc: AkcArcError):
+    with open(path, "w") as fh:
+        json.dump({"type": type(exc).__name__, "message": str(exc)}, fh, indent=2)
+        fh.write("\n")
+
+
 def execute_run(cfg: ExperimentConfig):
     """Run one pipeline and persist metrics, config, and checkpoints into
-    `cfg.default_out_dir()`.
+    `cfg.default_out_dir()`, each file written whole or not at all.
 
-    A run that raises AkcArcError leaves `error.json` (the error's type and
-    message) in its directory instead, and the error propagates.
+    A run that raises AkcArcError, a failed write included, leaves
+    `error.json` (the error's type and message) in its directory instead,
+    if it can, and the error propagates.
     """
     out_dir = cfg.default_out_dir()
     _make_dir(out_dir)
     try:
         result = run_pipeline(cfg)
+        meta = {"akc_pool_fraction": result.akc_pool_fraction}
+        for name, write in (
+            ("metrics.csv", result.metrics.to_csv),
+            ("metrics.json", result.metrics.to_json),
+            ("config.json", lambda p: cfg.to_json(p, extra_metadata=meta)),
+            ("source_model.npz", lambda p: save_checkpoint(p, result.source_model)),
+            ("target_model.npz", lambda p: save_checkpoint(p, result.pair.target)),
+        ):
+            _write(os.path.join(out_dir, name), write)
     except AkcArcError as exc:
-        with open(os.path.join(out_dir, "error.json"), "w") as fh:
-            json.dump({"type": type(exc).__name__, "message": str(exc)}, fh, indent=2)
-            fh.write("\n")
+        with contextlib.suppress(WriteError):  # report the run's error, not this one
+            _write(os.path.join(out_dir, "error.json"), lambda p: _write_error(p, exc))
         raise
-    result.metrics.to_csv(os.path.join(out_dir, "metrics.csv"))
-    result.metrics.to_json(os.path.join(out_dir, "metrics.json"))
-    cfg.to_json(
-        os.path.join(out_dir, "config.json"),
-        extra_metadata={"akc_pool_fraction": result.akc_pool_fraction},
-    )
-    save_checkpoint(os.path.join(out_dir, "source_model.npz"), result.source_model)
-    save_checkpoint(os.path.join(out_dir, "target_model.npz"), result.pair.target)
     return result, out_dir
 
 

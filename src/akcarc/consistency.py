@@ -16,7 +16,6 @@ import numpy as np
 from .errors import EmptyInput, InvalidInput, ShapeError
 from .numerics import (
     LOG_CLAMP,
-    PairPool,
     as_tensor2,
     entropy_rows,
     median_sigmas,
@@ -82,29 +81,26 @@ def akc_loss(features, source_features, weights, mode: str):
 class ReplayBuffer:
     """Bounded FIFO of detached representation rows, stored by slot.
 
-    A buffer serves only its newest k rows, so it keeps at most
-    `capacity` = min(capacity, k) of them: the i-th row added sits in slot
-    i mod capacity, and `rows[:len(buf)]` is its window in slot order.
-    `update` copies rows in over the oldest; `newest(t)` names the slots of
-    the newest t rows, oldest first; `get_last_k` returns the newest
-    min(k, len) rows, oldest first.
+    The i-th row added sits in slot i mod capacity, so `rows[:len(buf)]` is
+    the window of the newest min(added, capacity) rows in slot order.
+    `update` copies rows in over the oldest and records in `new` the slots
+    it wrote, oldest row first.
     """
 
-    def __init__(self, capacity: int, k: int):
-        if capacity < 1 or k < 1:
-            raise InvalidInput("capacity and k must be >= 1")
-        self.capacity = min(capacity, k)
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise InvalidInput("capacity must be >= 1")
+        self.capacity = capacity
         self.added = 0  # rows added so far
         self.rows = np.zeros((0, 0))  # (capacity, dim) from the first update
+        self.new = np.zeros(0, dtype=np.intp)
 
     def __len__(self):
         return min(self.added, self.capacity)
 
-    def newest(self, t: int) -> np.ndarray:
-        return np.arange(self.added - t, self.added) % self.capacity
-
     def update(self, rows):
         if not np.size(rows):
+            self.new = np.zeros(0, dtype=np.intp)
             return
         rows = as_tensor2(rows)
         if not self.added:
@@ -113,10 +109,8 @@ class ReplayBuffer:
             raise ShapeError(f"row dim {rows.shape[1]} != buffer dim {self.rows.shape[1]}")
         self.added += rows.shape[0]
         kept = rows[-self.capacity:]
-        self.rows[self.newest(kept.shape[0])] = kept
-
-    def get_last_k(self) -> np.ndarray:
-        return self.rows[self.newest(len(self))]
+        self.new = np.arange(self.added - kept.shape[0], self.added) % self.capacity
+        self.rows[self.new] = kept
 
 
 def buffer_update_and_fetch(buf: ReplayBuffer, new_rows) -> np.ndarray:
@@ -126,16 +120,87 @@ def buffer_update_and_fetch(buf: ReplayBuffer, new_rows) -> np.ndarray:
     return buf.rows[:len(buf)]
 
 
+def _tri(n: int) -> int:
+    """Pairs among n rows."""
+    return n * (n - 1) // 2
+
+
 class ArcState:
     """What ARC carries from step to step: the labeled and unlabeled replay
-    buffers, whose windows hold the newest w rows each, and a `PairPool` of
-    the squared distances among the rows of those windows, with one slot
-    per buffer slot."""
+    buffers `buf_l` and `buf_u`, whose windows v and u hold the newest w
+    rows each, and the squared distances among the rows of [v; u], kept
+    from push to push so that each push computes only its new rows'.
+
+    `d2` is allocated once and holds every pair once, by slot: the strict
+    upper triangle of the v window (pair i < j at j(j - 1)/2 + i), the same
+    for the u window, the w x w block between them, and a last cell that
+    takes each new row's pair with itself. A window of m < w rows fills its
+    first m slots. The block is u slot major because a push writes its new
+    rows' cells as rows and columns of it, rows write faster, and ARC's
+    unlabeled window takes more new rows per step than its labeled one.
+    `cell[0]` and `cell[1]` map a slot pair of v and of u to its cell; they
+    depend only on w, so they are built here once.
+
+    `push()` reads the windows and their new slots `new` = (sv, su) from the
+    buffers, computes the slabs (the new rows against every row of
+    [v; u]), writes them into their cells and keeps them as `slab` for the
+    gradient of the same step; `parts()` gives the cells of the last
+    push's pairs.
+    """
 
     def __init__(self, w: int):
-        self.buf_l = ReplayBuffer(w, w)
-        self.buf_u = ReplayBuffer(w, w)
-        self.pairs = PairPool(w)
+        self.w = w
+        self.buf_l, self.buf_u = ReplayBuffer(w), ReplayBuffer(w)
+        t = _tri(w)
+        self.d2 = np.empty(2 * t + w * w + 1)
+        # built in place: no w x w temporary raises the run's peak memory
+        c, cell = np.arange(w), np.empty((2, w, w), dtype=np.intp)
+        np.maximum.outer(c, c, out=cell[1])
+        np.take(c * (c - 1) // 2, cell[1], out=cell[0])
+        cell[0] += np.minimum.outer(c, c, out=cell[1])
+        np.add(cell[0], t, out=cell[1])
+        # each row's pair with itself goes to the last cell (contiguous
+        # values scatter faster than a masked write)
+        cell[:, c, c] = self.d2.size - 1
+        self.cell = cell
+        self.fill = (0, 0)
+        self.slab = None
+
+    @property
+    def new(self):
+        """The slots (sv, su) of the last push's new rows."""
+        return self.buf_l.new, self.buf_u.new
+
+    def push(self):
+        """Record the distances of the rows the buffers' last updates wrote."""
+        (bl, bu), w = (self.buf_l, self.buf_u), self.w
+        (m, n), (sv, su) = (len(bl), len(bu)), self.new
+        v, u = bl.rows[:m], bu.rows[:n]
+        if m and n and v.shape[1] != u.shape[1]:
+            raise ShapeError(f"dim mismatch: {v.shape[1]} vs {u.shape[1]}")
+        d = (v if m else u).shape[1]
+        z = np.concatenate((v.reshape(m, d), u.reshape(n, d)))
+        zz = np.einsum("ij,ij->i", z, z)
+        rows = np.concatenate((sv, m + su))
+        slab = -2.0 * z[rows] @ z.T
+        slab += zz[rows][:, None]
+        slab += zz
+        np.maximum(slab, 0.0, out=slab)
+
+        tv, d2 = sv.size, self.d2
+        d2[self.cell[0, sv, :m]] = np.ascontiguousarray(slab[:tv, :m])
+        d2[self.cell[1, su, :n]] = np.ascontiguousarray(slab[tv:, m:])
+        cross = d2[2 * _tri(w):-1].reshape(w, w)
+        cross[su, :m] = slab[tv:, :m]
+        cross[:n, sv] = slab[:tv, m:].T
+        self.fill, self.slab = (m, n), slab
+
+    def parts(self):
+        """The cells of the last push's pairs: the v triangle, the u
+        triangle and the n x m block between them."""
+        (m, n), w, t = self.fill, self.w, _tri(self.w)
+        cross = self.d2[2 * t:-1].reshape(w, w)
+        return self.d2[:_tri(m)], self.d2[t:t + _tri(n)], cross[:n, :m]
 
 
 def arc_loss(f_l, f_u, logits_l, logits_u, eps_r, state: ArcState):
@@ -143,7 +208,7 @@ def arc_loss(f_l, f_u, logits_l, logits_u, eps_r, state: ArcState):
 
     Rows of the features `f_l`, `f_u` whose matching logits pass the
     entropy gate at eps_r are pushed into the per-stream replay buffers of
-    `state`, and their distances into its pair pool; the MMD is computed on
+    `state`, which then records their distances; the MMD is computed on
     the fetched recent-k sets. Gradients flow only through current-batch
     selected rows (buffered rows are detached). If either fetched set has
     fewer than 2 rows the loss is 0 with zero gradient. Returns (value,
@@ -160,18 +225,16 @@ def arc_loss(f_l, f_u, logits_l, logits_u, eps_r, state: ArcState):
 
     star_l = buffer_update_and_fetch(state.buf_l, f_l[idx_l])
     star_u = buffer_update_and_fetch(state.buf_u, f_u[idx_u])
-    # the current batch's rows that stay in the windows are the newest
-    # rows; only they carry gradients back into the extractor
-    n_l = min(len(idx_l), star_l.shape[0])
-    n_u = min(len(idx_u), star_u.shape[0])
-    state.pairs.push(star_l, star_u, (state.buf_l.newest(n_l), state.buf_u.newest(n_u)))
+    state.push()
 
     d_f_l, d_f_u = np.zeros_like(f_l), np.zeros_like(f_u)
     if star_l.shape[0] < 2 or star_u.shape[0] < 2:
         return 0.0, (d_f_l, d_f_u), frac_l, frac_u
 
-    sigmas = median_sigmas(state.pairs)
-    value, d_l, d_u = mmd2_value_grad(star_l, star_u, sigmas, state.pairs)
-    d_f_l[idx_l[len(idx_l) - n_l:]] = d_l
-    d_f_u[idx_u[len(idx_u) - n_u:]] = d_u
+    sigmas = median_sigmas(state)
+    value, d_l, d_u = mmd2_value_grad(star_l, star_u, sigmas, state)
+    # the rows the buffers kept are the last selected ones; only they carry
+    # gradients back into the extractor
+    d_f_l[idx_l[len(idx_l) - state.buf_l.new.size:]] = d_l
+    d_f_u[idx_u[len(idx_u) - state.buf_u.new.size:]] = d_u
     return float(value), (d_f_l, d_f_u), frac_l, frac_u

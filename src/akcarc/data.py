@@ -8,6 +8,7 @@ cluster means, rotated in a random plane and shifted, so one knob pair
 """
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -173,11 +174,12 @@ def load_csv(path, label_map=None) -> SplitSet:
     training file, when reading its test file) is used instead, and a label
     outside it is a ParseError, and so is a non-finite cell (nan, inf).
     Parse failures report line and column. A file that cannot be read or
-    is not UTF-8 text, or a header with no column besides `label`, is a
-    ParseError naming the file.
+    is not UTF-8 text, or a header that names a column twice or has no
+    column besides `label`, is a ParseError naming the file. A leading
+    UTF-8 byte order mark (as spreadsheet programs write) is skipped.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return _parse_csv(path, csv.reader(fh), label_map)
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
@@ -194,6 +196,9 @@ def _parse_csv(path, reader, label_map) -> SplitSet:
         raise ParseError(f"{path}: empty file") from None
     if "label" not in header:
         raise ParseError(f"{path}: no 'label' column in header")
+    repeated = [name for name, count in Counter(header).items() if count > 1]
+    if repeated:
+        raise ParseError(f"{path}: header names column {repeated[0]!r} more than once")
     if len(header) < 2:
         raise ParseError(f"{path}: no feature column besides 'label'")
     j = header.index("label")

@@ -39,3 +39,7 @@ class ConfigError(AkcArcError):
 
 class ParseError(AkcArcError):
     """A data file could not be parsed; message carries the location."""
+
+
+class WriteError(AkcArcError):
+    """A result file could not be written; message names the file."""

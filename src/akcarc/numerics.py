@@ -87,12 +87,13 @@ def mmd2(v, u, sigmas) -> float:
 def mmd2_value_grad(v, u, sigmas, pairs):
     """mmd2 together with its gradients w.r.t. the new rows of v and of u.
 
-    `pairs` is the `PairPool` whose last push was `push(v, u, new)`: it
-    gives the squared distances of every pair, and the slabs of the new rows
-    new = (sv, su) against every row of [v; u]; the gradient reads its rows
-    from v and u. The value always covers every pair. Sigmas are treated as
-    constants (no gradient through a bandwidth heuristic). Returns (value,
-    dv, du) with dv, du shaped like v[sv], u[su].
+    `pairs` is ARC's `consistency.ArcState` after the push that made v and
+    u its windows: it gives the squared distances of every pair, and the
+    slabs of the new rows at the slots new = (sv, su) against every row of
+    [v; u]; the gradient reads its rows from v and u. The value always
+    covers every pair. Sigmas are treated as constants (no gradient through
+    a bandwidth heuristic). Returns (value, dv, du) with dv, du shaped like
+    v[sv], u[su].
 
     Bandwidths are taken from largest to smallest. One that is exactly half
     the one before it takes its kernel as the previous kernel to the 4th
@@ -107,8 +108,8 @@ def mmd2_value_grad(v, u, sigmas, pairs):
     sigmas = sorted(sigmas, reverse=True)
     if not sigmas or sigmas[-1] <= 0:
         raise InvalidInput(f"sigmas must be > 0 and at least one, got {sigmas}")
-    tv = sv.size
-    segments = (0, _tri(m), _tri(m) + _tri(n))
+    tv, parts = sv.size, pairs.parts()
+    segments = (0, parts[0].size, parts[0].size + parts[1].size)
     p = segments[2] + m * n
     work = np.empty(p + slab.size)
     k_pairs, k_slab = work[:p], work[p:].reshape(slab.shape)
@@ -123,7 +124,7 @@ def mmd2_value_grad(v, u, sigmas, pairs):
             work *= work
             work *= work
         else:
-            for src, out in zip(pairs.parts() + (slab,), cells):
+            for src, out in zip(parts + (slab,), cells):
                 np.multiply(src, -0.5 / (s * s), out=out)
             np.exp(work, out=work)
         prev = s
@@ -146,9 +147,9 @@ def mmd2_value_grad(v, u, sigmas, pairs):
 
 def median_sigmas(pairs):
     """Bandwidths [0.5, 1, 2] times the median pairwise distance among the
-    pooled rows [v; u] of the last push into the `PairPool` `pairs`, each
-    pair once: the within-set pairs of v and of u and every pair between
-    them.
+    pooled rows [v; u] of the last push into ARC's `consistency.ArcState`
+    `pairs`, each pair once: the within-set pairs of v and of u and every
+    pair between them.
 
     Falls back to sigma = 1 when the median distance is zero. Equals the
     numpy median of the square roots of those pairs' squared distances
@@ -166,81 +167,6 @@ def median_sigmas(pairs):
     if med <= 0.0:
         med = 1.0
     return [0.5 * med, med, 2.0 * med]
-
-
-def _tri(n: int) -> int:
-    """Pairs among n rows."""
-    return n * (n - 1) // 2
-
-
-class PairPool:
-    """The squared distances among the rows of two windows of at most w rows
-    each (ARC's fetched labeled set v and unlabeled set u, in slot order:
-    row i is the row in slot i), kept from push to push so that each push
-    computes only the distances of its new rows.
-
-    `d2` is allocated once and holds every pair once, by slot: the strict
-    upper triangle of the v window (pair i < j at j(j - 1)/2 + i), the same
-    for the u window, the w x w block between them, and a last cell that
-    takes each new row's pair with itself. A window of m < w rows fills its
-    first m slots. The block is u slot major because a push writes its new
-    rows' cells as rows and columns of it, rows write faster, and ARC's
-    unlabeled window takes more new rows per step than its labeled one.
-
-    `push(v, u, new)` computes the slabs (the rows at the slots
-    new = (sv, su) against every row of [v; u]), writes them into their
-    cells and keeps them as `slab` for the gradient of the same step;
-    `parts()` gives the cells of the last push's pairs.
-    """
-
-    def __init__(self, w: int):
-        self.w = w
-        self.d2 = np.empty(2 * _tri(w) + w * w + 1)
-        self.fill = (0, 0)
-        self.new = self.slab = None
-
-    def push(self, v, u, new):
-        """Record the windows v and u after a push whose new rows sit at the
-        slots new = (sv, su); every other row must be the one its slot held
-        before."""
-        (m, n), w = (v.shape[0], u.shape[0]), self.w
-        sv, su = (np.asarray(s, dtype=np.intp) for s in new)
-        if max(m, n) > w or any(s.size and not 0 <= s.min() <= s.max() < k
-                                for s, k in ((sv, m), (su, n))):
-            raise ShapeError(f"windows of {(m, n)} rows do not fit {w} slots, "
-                             "or a new slot lies outside its window")
-        if m and n and v.shape[1] != u.shape[1]:
-            raise ShapeError(f"dim mismatch: {v.shape[1]} vs {u.shape[1]}")
-        d = (v if m else u).shape[1]
-        z = np.concatenate((v.reshape(m, d), u.reshape(n, d)))
-        zz = np.einsum("ij,ij->i", z, z)
-        rows = np.concatenate((sv, m + su))
-        slab = -2.0 * z[rows] @ z.T
-        slab += zz[rows][:, None]
-        slab += zz
-        np.maximum(slab, 0.0, out=slab)
-
-        tv, t, d2 = sv.size, _tri(w), self.d2
-        # within-set pairs by slot; each new row's pair with itself goes to
-        # the last cell (contiguous values scatter faster)
-        for s, k, off, blk in ((sv, m, 0, slab[:tv, :m]), (su, n, t, slab[tv:, m:])):
-            c, col = np.arange(k), s[:, None]
-            start = c * (c - 1) // 2 + off  # cell of pair (0, c)
-            pos = start[np.maximum(col, c)]
-            pos += np.minimum(col, c)
-            pos[np.arange(s.size), s] = d2.size - 1
-            d2[pos] = np.ascontiguousarray(blk)
-        cross = d2[2 * t:-1].reshape(w, w)
-        cross[su, :m] = slab[tv:, :m]
-        cross[:n, sv] = slab[:tv, m:].T
-        self.fill, self.new, self.slab = (m, n), (sv, su), slab
-
-    def parts(self):
-        """The cells of the last push's pairs: the v triangle, the u
-        triangle and the n x m block between them."""
-        (m, n), w, t = self.fill, self.w, _tri(self.w)
-        cross = self.d2[2 * t:-1].reshape(w, w)
-        return self.d2[:_tri(m)], self.d2[t:t + _tri(n)], cross[:n, :m]
 
 
 def softmax_backward(q: np.ndarray, dq: np.ndarray) -> np.ndarray:

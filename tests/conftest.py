@@ -10,7 +10,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest
 
-from akcarc import consistency, numerics
+from akcarc import consistency
 from akcarc.consistency import ArcState, akc_weights, arc_loss
 from akcarc.model import Classifier, LinearHead, MlpExtractor, ModelPair
 
@@ -63,14 +63,22 @@ def hold_sigmas(monkeypatch, sigmas):
 
 
 def pushed_pool(v, u, tail):
-    """A fresh `PairPool` filled as a step fills it: a first push of the
-    rows outside tail = (tv, tu), then the windows v and u whose last tv
-    and tu rows are new."""
+    """A fresh `ArcState` filled through its buffers as a step fills it: a
+    first push of the rows outside tail = (tv, tu), then one of the last tv
+    and tu rows, so that its windows are v and u."""
     (m, n), (tv, tu) = (len(v), len(u)), tail
-    pool = numerics.PairPool(max(m, n))
-    pool.push(v[:m - tv], u[:n - tu], (np.arange(m - tv), np.arange(n - tu)))
-    pool.push(v, u, (np.arange(m - tv, m), np.arange(n - tu, n)))
-    return pool
+    state = ArcState(max(m, n))
+    for rows_l, rows_u in ((v[:m - tv], u[:n - tu]), (v[m - tv:], u[n - tu:])):
+        state.buf_l.update(rows_l)
+        state.buf_u.update(rows_u)
+        state.push()
+    return state
+
+
+def rows_by_age(buf):
+    """The rows of a replay buffer's window, oldest first, read from its
+    slots: the i-th row added sits in slot i mod capacity."""
+    return buf.rows[np.arange(buf.added - len(buf), buf.added) % buf.capacity]
 
 
 def seeded_arc(w, rows_l, rows_u):

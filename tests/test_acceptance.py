@@ -23,7 +23,7 @@ from akcarc.consistency import (
     entropy_gate,
 )
 from akcarc.model import Classifier, LinearHead, MlpExtractor, ModelPair
-from akcarc.numerics import PairPool, median_sigmas, mmd2
+from akcarc.numerics import median_sigmas, mmd2
 from akcarc.ssl_baselines import (
     cross_entropy_loss,
     mean_teacher_loss,
@@ -40,6 +40,8 @@ from conftest import (
     assert_grads_match,
     frozen_source,
     hold_sigmas,
+    pushed_pool,
+    rows_by_age,
     seeded_arc,
     term_grads,
 )
@@ -217,7 +219,7 @@ def test_criterion_4_replay_buffer(monkeypatch):
     """FIFO semantics vs a reference queue across 1000 interleavings, and
     buffered rows carry no gradient."""
     rng = np.random.default_rng(3)
-    buf = ReplayBuffer(capacity=7, k=4)
+    buf = ReplayBuffer(4)
     queue = []
     for _ in range(1000):
         if rng.random() < 0.6:
@@ -226,12 +228,12 @@ def test_criterion_4_replay_buffer(monkeypatch):
             queue.extend([r.copy() for r in rows])
             del queue[:-7]
         else:
-            got = buf.get_last_k()
+            got = rows_by_age(buf)
             expect = queue[-4:]
             assert got.shape[0] == len(expect)
             for a, b in zip(got, expect):
                 np.testing.assert_array_equal(a, b)
-        assert len(buf) <= 7
+        assert len(buf) == min(len(queue), 4)
 
     # no-gradient-through-buffer: ARC gradients with a populated buffer
     # match finite differences where buffered rows are frozen constants
@@ -374,8 +376,7 @@ def test_criterion_9_arc_mechanism():
             ext = res.pair.target.extractor
             f_l = ext.forward(split.labeled_x)
             f_u = ext.forward(split.unlabeled_x)
-            pool = PairPool(max(len(f_l), len(f_u)))
-            pool.push(f_l, f_u, (np.arange(len(f_l)), np.arange(len(f_u))))
+            pool = pushed_pool(f_l, f_u, (len(f_l), len(f_u)))
             vals.append(mmd2(f_l, f_u, median_sigmas(pool)))
         wins += vals[1] < vals[0]
         details.append(f"{vals[0]:.4f}->{vals[1]:.4f}")

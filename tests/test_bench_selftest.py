@@ -44,6 +44,9 @@ NON_ZERO = [
     "numerics.median_sigmas_s", "numerics.mmd2_value_grad_s",
     "numerics.mmd_kernel_evals_per_step",
     "consistency.akc_loss_s", "training.optimizer_step_s", "training.sampler_s",
+    # read from the buffer spans under `arc_loss` and from its return
+    "consistency.arc_stale_row_share", "consistency.arc_selected_fraction_l",
+    "consistency.arc_selected_fraction_u",
 ]
 
 

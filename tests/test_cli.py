@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import re
@@ -7,11 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
-from akcarc import model
+from akcarc import cli, model
 from akcarc.cli import main
 from akcarc.config import ExperimentConfig
 from akcarc.data import SyntheticTaskSpec, generate_task, load_task
-from akcarc.errors import ConfigError
+from akcarc.errors import ConfigError, InvalidInput
 from akcarc.training import run_pipeline
 
 
@@ -184,6 +185,39 @@ class TestRunCommand:
         assert error["type"] == "ParseError"
         assert error["message"].startswith(f"{path}: ")
         assert capsys.readouterr().err == f"error: {error['message']}\n"
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, capsys, monkeypatch):
+        # a full disk: the checkpoint write puts 11 bytes down, then fails
+        def save_checkpoint(path, _model):
+            with open(path, "wb") as fh:
+                fh.write(b"partial npz")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "save_checkpoint", save_checkpoint)
+        out = tmp_path / "x"
+        code = main(["run", "--out", str(out)] + TINY)
+        assert code == 1
+        message = f"cannot write {out / 'source_model.npz'}: {os.strerror(errno.ENOSPC)}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(os.listdir(out)) == ["config.json", "error.json",
+                                           "metrics.csv", "metrics.json"]
+        with open(out / "error.json") as fh:
+            assert json.load(fh) == {"type": "WriteError", "message": message}
+
+    def test_unwritable_error_file_keeps_the_run_error(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def run_pipeline(cfg):
+            raise InvalidInput("epoch 1, step 1: loss_ce is not finite")
+
+        def dump(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+        monkeypatch.setattr(cli.json, "dump", dump)
+        out = tmp_path / "x"
+        assert main(["run", "--out", str(out)] + TINY) == 1
+        assert capsys.readouterr().err == "error: epoch 1, step 1: loss_ce is not finite\n"
+        assert os.listdir(out) == []
 
     @pytest.mark.parametrize("method,reason", [
         ("", "no method token in ''"), ("+", "no method token in '+'"),
@@ -402,6 +436,29 @@ class TestSweepCommand:
         assert lines[0].startswith("eps_k,mean_last_acc")
         assert len(lines) == 3
         assert "eps_k" in capsys.readouterr().out
+
+    def test_sub_run_whose_write_fails_is_named_and_the_grid_goes_on(
+            self, tmp_path, capsys, monkeypatch):
+        def save_checkpoint(path, model_):
+            if "eps_k_0.0_seed0" in path:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            model.save_checkpoint(path, model_)
+
+        monkeypatch.setattr(cli, "save_checkpoint", save_checkpoint)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--axis", "eps_k", "--values", "0,0.7", "--seeds", "1",
+                     "--out", str(out), "--set", "method=akc"] + TINY)
+        assert code == 1
+        failed = out / "eps_k_0.0_seed0"
+        assert capsys.readouterr().err == (
+            f"sub-run failed ({failed}): cannot write {failed / 'source_model.npz'}: "
+            f"{os.strerror(errno.ENOSPC)}\n")
+        assert "source_model.npz" not in os.listdir(failed)
+        assert sorted(os.listdir(out / "eps_k_0.7_seed0")) == [
+            "config.json", "metrics.csv", "metrics.json", "source_model.npz",
+            "target_model.npz"]
+        with open(out / "summary.csv") as fh:
+            assert len(fh.read().strip().splitlines()) == 2
 
     def test_bad_axis_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -18,7 +18,7 @@ from akcarc.consistency import (
 from akcarc.errors import EmptyInput, InvalidInput, ShapeError
 from akcarc.training import run_pipeline
 
-from conftest import assert_grads_match, hold_sigmas, term_grads
+from conftest import assert_grads_match, hold_sigmas, pushed_pool, rows_by_age, term_grads
 from oracles import dense_median_sigmas, dense_mmd2_value_grad
 
 
@@ -181,29 +181,29 @@ class TestAkcLoss:
 
 class TestReplayBuffer:
     def test_fifo_eviction(self):
-        buf = ReplayBuffer(capacity=2, k=10)
+        buf = ReplayBuffer(2)
         for v in ([[1.0]], [[2.0]], [[3.0]]):
             buf.update(v)
-        np.testing.assert_array_equal(buf.get_last_k(), [[2.0], [3.0]])
+        np.testing.assert_array_equal(rows_by_age(buf), [[2.0], [3.0]])
 
-    def test_get_last_k_larger_than_len(self):
-        buf = ReplayBuffer(capacity=10, k=99)
+    def test_window_shorter_than_capacity(self):
+        buf = ReplayBuffer(10)
         buf.update([[1.0], [2.0]])
-        assert buf.get_last_k().shape == (2, 1)
+        assert len(buf) == 2 and rows_by_age(buf).shape == (2, 1)
 
     def test_capacity_bound_always_holds(self):
         rng = np.random.default_rng(4)
-        buf = ReplayBuffer(capacity=7, k=3)
+        buf = ReplayBuffer(3)
         for _ in range(50):
             buf.update(rng.normal(size=(rng.integers(0, 5), 2)))
-            assert len(buf) <= 7
+            assert len(buf) <= 3
 
     def test_matches_reference_queue_interleaved(self):
         rng = np.random.default_rng(5)
         for trial in range(1000):
             cap = int(rng.integers(1, 9))
             k = int(rng.integers(1, 9))
-            buf = ReplayBuffer(capacity=cap, k=k)
+            buf = ReplayBuffer(min(cap, k))
             ref = []
             for _ in range(rng.integers(1, 12)):
                 if rng.random() < 0.7:
@@ -212,32 +212,49 @@ class TestReplayBuffer:
                     ref.extend([r.copy() for r in rows])
                     del ref[:-cap]
                 else:
-                    got = buf.get_last_k()
+                    got = rows_by_age(buf)
                     expect = np.asarray(ref[-k:]) if ref else np.zeros((0, 3))
                     assert got.shape[0] == len(ref[-k:])
                     if got.size:
                         np.testing.assert_array_equal(got, expect)
 
+    def test_new_names_the_slots_of_the_newest_rows(self):
+        # after each update, rows[new] are the newest min(p, w) rows of a
+        # reference queue, oldest first: empty updates name no slot, and
+        # an update larger than the window names every slot once
+        rng = np.random.default_rng(6)
+        for w in (1, 2, 3, 5):
+            buf, ref = ReplayBuffer(w), []
+            for p in (0, 2, 0, 7, 1, 0, w, 3, w + 1, 0):
+                rows = rng.normal(size=(p, 2))
+                buf.update(rows)
+                ref.extend(rows)
+                t = min(p, w)
+                assert buf.new.shape == (t,) and len(set(buf.new.tolist())) == t
+                assert set(buf.new.tolist()) <= set(range(len(buf)))
+                if t:
+                    np.testing.assert_array_equal(buf.rows[buf.new], ref[len(ref) - t:])
+
     def test_stored_rows_detached(self):
-        buf = ReplayBuffer(capacity=4, k=4)
+        buf = ReplayBuffer(4)
         rows = np.ones((2, 2))
         buf.update(rows)
         rows[...] = 99.0
-        assert np.all(buf.get_last_k() == 1.0)
+        assert np.all(rows_by_age(buf) == 1.0)
 
-    @pytest.mark.parametrize("capacity,k", [(0, 1), (1, 0)])
-    def test_size_below_one_is_invalid_input(self, capacity, k):
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_size_below_one_is_invalid_input(self, capacity):
         with pytest.raises(InvalidInput):
-            ReplayBuffer(capacity, k)
+            ReplayBuffer(capacity)
 
     def test_dim_mismatch(self):
-        buf = ReplayBuffer(capacity=4, k=4)
+        buf = ReplayBuffer(4)
         buf.update(np.ones((1, 3)))
         with pytest.raises(ShapeError):
             buf.update(np.ones((1, 2)))
 
     def test_update_and_fetch_helper(self):
-        buf = ReplayBuffer(capacity=3, k=2)
+        buf = ReplayBuffer(2)
         out = buffer_update_and_fetch(buf, np.arange(8.0).reshape(4, 2))
         np.testing.assert_array_equal(out, [[4.0, 5.0], [6.0, 7.0]])
 
@@ -304,8 +321,8 @@ def fresh_state(w=16):
 
 class TestArcState:
     def test_buffers_hold_no_more_than_the_window(self):
-        # a buffer serves only its last k rows, so it keeps only those
-        buf = ReplayBuffer(100000, 5)
+        # a buffer serves only its last k rows, so it is sized to those
+        buf = ReplayBuffer(min(100000, 5))
         rng = np.random.default_rng(0)
         seen = 0
         for p in (3, 0, 8, 2, 12):
@@ -335,10 +352,11 @@ class TestArcState:
         for p in (4, 5):
             f = rng.normal(size=(p, 3))
             arc_loss(f, f + 1.0, open_gate(f), open_gate(f), 0.0, state)
-        arrays = [a for obj in (state.buf_l, state.buf_u, state.pairs)
+        arrays = [a for obj in (state.buf_l, state.buf_u, state)
                   for a in vars(obj).values() if isinstance(a, np.ndarray)]
-        arrays += list(state.pairs.new)
-        assert len(arrays) == 6  # the buffers' rows, d2, slab and the new slots
+        # the buffers' rows and new slots, d2, the cell map and slab
+        assert len(arrays) == 7
+        assert state.new[0] is state.buf_l.new and state.new[1] is state.buf_u.new
         for i, a in enumerate(arrays):
             assert all(not np.shares_memory(a, b) for b in arrays[i + 1:])
 
@@ -506,7 +524,7 @@ class TestPairPool:
                                                0.0, state)
             seen_l, seen_u = seen_l + p_l, seen_u + p_u
             fill = (min(seen_l, w), min(seen_u, w))
-            assert state.pairs.fill == fill
+            assert state.fill == fill
             if min(fill) < 2:
                 skipped += 1
                 assert check.calls == calls and value == 0.0
@@ -520,16 +538,9 @@ class TestPairPool:
         assert max(check.worst.values()) <= 1e-12, check.worst
 
     def test_pool_must_follow_its_windows(self):
-        pool = numerics.PairPool(4)
         rng = np.random.default_rng(0)
         v, u = rng.normal(size=(3, 2)), rng.normal(size=(2, 2))
-        pool.push(v, u, (np.arange(3), np.arange(2)))
-        with pytest.raises(ShapeError):
-            pool.push(v, u, ([3], []))  # a new slot beyond the window
-        with pytest.raises(ShapeError):
-            pool.push(v, u, ([], [-1]))  # a slot below 0
-        with pytest.raises(ShapeError):
-            pool.push(rng.normal(size=(5, 2)), u, ([4], []))  # a window beyond w
+        pool = pushed_pool(v, u, (3, 2))
         sigmas = numerics.median_sigmas(pool)
         with pytest.raises(ShapeError):
             numerics.mmd2_value_grad(v[:2], u, sigmas, pool)  # not the pushed rows

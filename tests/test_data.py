@@ -275,6 +275,32 @@ class TestCsv:
         with pytest.raises(ParseError, match=r"test\.csv:3:2: label 4"):
             load_csv(p, label_map={1: 0, 3: 1, 5: 2})
 
+    @pytest.mark.parametrize("header,rows", [("label,f0", "0,1.5\n1,2.5\n"),
+                                             ("f0,label", "1.5,0\n2.5,1\n")])
+    def test_byte_order_mark_is_skipped(self, tmp_path, header, rows):
+        # a BOM in only one of the three files must not rename its first column
+        paths = {n: tmp_path / f"{n}.csv" for n in ("src", "train", "test")}
+        for name, p in paths.items():
+            p.write_text(header + "\n" + rows,
+                         encoding="utf-8-sig" if name == "train" else "utf-8")
+        assert paths["train"].read_bytes().startswith(b"\xef\xbb\xbf")
+        cfg = ExperimentConfig(source_train_csv=str(paths["src"]),
+                               target_train_csv=str(paths["train"]),
+                               target_test_csv=str(paths["test"]))
+        source, target = load_task(cfg)
+        assert source.feature_names == target.feature_names == ("f0",)
+        assert target.labeled_x.tolist() == [[1.5], [2.5]]
+        assert target.labeled_y.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("header,name", [("label,f0,label", "label"),
+                                             ("f0,label,f1,f0", "f0")])
+    def test_repeated_column_is_named(self, tmp_path, header, name):
+        p = tmp_path / "d.csv"
+        p.write_text(f"{header}\n" + ",".join(["1"] * header.count(",")) + ",0\n")
+        with pytest.raises(ParseError) as exc:
+            load_csv(p)
+        assert str(exc.value) == f"{p}: header names column {name!r} more than once"
+
     def test_missing_label_column(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("f0,f1\n1.0,2.0\n")
