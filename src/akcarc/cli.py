@@ -14,7 +14,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .errors import AkcArcError, ConfigError, WriteError
 from .model import save_checkpoint
-from .training import run_pipeline
+from .training import run_pipeline, shared_setups
 
 SWEEP_AXES = {
     "eps_k": "eps_k_scale",
@@ -22,6 +22,11 @@ SWEEP_AXES = {
     "n_labeled": "n_labeled",
     "lambda_r": "lambda_r",
 }
+# The files a run leaves in its directory: its results, or the error that
+# ended it
+RESULT_FILES = ("metrics.csv", "metrics.json", "config.json",
+                "source_model.npz", "target_model.npz")
+ERROR_FILE = "error.json"
 COMPARE_METHODS = [
     "supervised", "pseudo_label", "mean_teacher",
     "akc", "arc", "akc+arc", "pseudo_label+akc+arc",
@@ -67,6 +72,17 @@ def _write(path: str, write):
         raise WriteError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _remove(path: str):
+    """Remove the file `path` if it exists. An OSError is a WriteError
+    naming `path`."""
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise WriteError(f"cannot remove {path}: {exc.strerror or exc}") from None
+
+
 def _write_error(path: str, exc: AkcArcError):
     with open(path, "w") as fh:
         json.dump({"type": type(exc).__name__, "message": str(exc)}, fh, indent=2)
@@ -80,23 +96,29 @@ def execute_run(cfg: ExperimentConfig):
     A run that raises AkcArcError, a failed write included, leaves
     `error.json` (the error's type and message) in its directory instead,
     if it can, and the error propagates.
+
+    The directory holds one run: the RESULT_FILES and ERROR_FILE of an
+    earlier run into it are removed first, and no other file is touched.
     """
     out_dir = cfg.default_out_dir()
     _make_dir(out_dir)
     try:
+        for name in RESULT_FILES + (ERROR_FILE,):
+            _remove(os.path.join(out_dir, name))
         result = run_pipeline(cfg)
         meta = {"akc_pool_fraction": result.akc_pool_fraction}
-        for name, write in (
-            ("metrics.csv", result.metrics.to_csv),
-            ("metrics.json", result.metrics.to_json),
-            ("config.json", lambda p: cfg.to_json(p, extra_metadata=meta)),
-            ("source_model.npz", lambda p: save_checkpoint(p, result.source_model)),
-            ("target_model.npz", lambda p: save_checkpoint(p, result.pair.target)),
-        ):
+        writers = (  # in RESULT_FILES order
+            result.metrics.to_csv,
+            result.metrics.to_json,
+            lambda p: cfg.to_json(p, extra_metadata=meta),
+            lambda p: save_checkpoint(p, result.source_model),
+            lambda p: save_checkpoint(p, result.pair.target),
+        )
+        for name, write in zip(RESULT_FILES, writers):
             _write(os.path.join(out_dir, name), write)
     except AkcArcError as exc:
         with contextlib.suppress(WriteError):  # report the run's error, not this one
-            _write(os.path.join(out_dir, "error.json"), lambda p: _write_error(p, exc))
+            _write(os.path.join(out_dir, ERROR_FILE), lambda p: _write_error(p, exc))
         raise
     return result, out_dir
 
@@ -123,6 +145,8 @@ def _run_grid(cfg: ExperimentConfig, seeds: int, cells):
     """Run each `(prefix, overrides)` cell once per seed into
     `<root>/<prefix>_seed<seed>`, each sub-run's config naming its own
     directory. A failed sub-run is named on stderr and the grid goes on.
+    The sub-runs share set-ups (`training.shared_setups`): the data is read
+    and the source pre-trained once per seed, not once per cell.
 
     Returns the grid root, the `(last, best)` test accuracies of each
     cell's finished seeds, and whether any sub-run failed.
@@ -132,20 +156,21 @@ def _run_grid(cfg: ExperimentConfig, seeds: int, cells):
     root = cfg.default_out_dir()
     _make_dir(root)
     accs, failed = [], False
-    for prefix, overrides in cells:
-        finished = []
-        for s in range(seeds):
-            sub = cfg.with_overrides(overrides)
-            sub.seed = cfg.seed + s
-            sub.out_dir = os.path.join(root, f"{prefix}_seed{sub.seed}")
-            try:
-                result, _ = execute_run(sub)
-            except AkcArcError as exc:
-                print(f"sub-run failed ({sub.out_dir}): {exc}", file=sys.stderr)
-                failed = True
-                continue
-            finished.append((result.metrics.last(), result.metrics.best()))
-        accs.append(finished)
+    with shared_setups():
+        for prefix, overrides in cells:
+            finished = []
+            for s in range(seeds):
+                sub = cfg.with_overrides(overrides)
+                sub.seed = cfg.seed + s
+                sub.out_dir = os.path.join(root, f"{prefix}_seed{sub.seed}")
+                try:
+                    result, _ = execute_run(sub)
+                except AkcArcError as exc:
+                    print(f"sub-run failed ({sub.out_dir}): {exc}", file=sys.stderr)
+                    failed = True
+                    continue
+                finished.append((result.metrics.last(), result.metrics.best()))
+            accs.append(finished)
     return root, accs, failed
 
 

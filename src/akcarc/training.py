@@ -1,17 +1,21 @@
 """Loss assembly, SGD with momentum under a cosine schedule, batch sampling,
 and the pre-train / imprint / fine-tune pipeline with per-epoch metrics."""
 
+import contextlib
+import contextvars
 import copy
 import csv
+import dataclasses
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import consistency, model, ssl_baselines
 from .config import ExperimentConfig
-from .data import SplitSet, load_task, split_labeled
+from .data import SplitSet, SyntheticTaskSpec, load_task, split_labeled
 from .errors import ConfigError, EmptyInput, InvalidInput, InvalidLabel, ShapeError
 from .model import Classifier, LinearHead, MlpExtractor, ModelPair, imprint
 
@@ -24,6 +28,12 @@ METRICS_COLUMNS = [
 # The per-step values that `total_loss` reports; each epoch logs their mean.
 STEP_COLUMNS = ("loss_ce", "loss_ssl", "loss_akc", "loss_arc",
                 "arc_labeled_fraction", "arc_unlabeled_fraction")
+# The config fields `prepare` reads: configs that agree on all of them get
+# equal Setups, so a grid's sub-runs may share one.
+SETUP_FIELDS = tuple(f"task.{f.name}" for f in dataclasses.fields(SyntheticTaskSpec)) + (
+    "source_train_csv", "target_train_csv", "target_test_csv", "seed",
+    "hidden_dims", "feature_dim", "source_epochs", "source_eta0", "batch_labeled",
+)
 
 
 def cosine_lr(t: int, total_steps: int, eta0: float) -> float:
@@ -278,6 +288,10 @@ def train_supervised(classifier: Classifier, x, y, epochs: int, batch_size: int,
 
 @dataclass
 class RunResult:
+    """What `run_pipeline` returns. `source_model` is the pre-trained source
+    model: read-only, and shared by the sub-runs of a grid that share its
+    set-up. `pair.source` is a private copy of it."""
+
     metrics: MetricsLog
     pair: ModelPair
     source_model: Classifier
@@ -285,9 +299,92 @@ class RunResult:
     akc_pool_fraction: float
 
 
+@dataclass(frozen=True)
+class Setup:
+    """The part of a run that depends only on the SETUP_FIELDS of its
+    config: the source set, the target set before its labeled split (test
+    rows included) and the source model pre-trained on the source set.
+    Every array, the model's parameters and gradient included, is read-only,
+    so runs can share one Setup."""
+
+    source_set: SplitSet
+    target_set: SplitSet
+    source: Classifier
+
+
+# The Setups of the grid being run, keyed by their SETUP_FIELDS; None outside
+# `shared_setups`, so that a lone run prepares its own.
+_setups = contextvars.ContextVar("setups", default=None)
+
+
+@contextlib.contextmanager
+def shared_setups():
+    """Within the block, `run_pipeline` prepares each set-up key once and
+    reuses that Setup for every later config with the same key (the
+    sub-runs of one seed of a grid). A `prepare` that raises stores
+    nothing. The Setups are dropped when the block ends."""
+    token = _setups.set({})
+    try:
+        yield
+    finally:
+        _setups.reset(token)
+
+
+def _rngs(seed: int) -> list:
+    """The run's six generators: source init, pre-training, target init,
+    labeled split, fine-tuning batches, mean-teacher noise."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(6)]
+
+
+def prepare(cfg) -> Setup:
+    """Read the run's data and pre-train its source model. Reads only the
+    SETUP_FIELDS of `cfg`, which must be valid. A diverging pre-training is
+    an InvalidInput that starts with "source pre-training, epoch E, step S"."""
+    rng_init_src, rng_pretrain = _rngs(cfg.seed)[:2]
+    source_set, target_set = load_task(cfg)
+    dims = [source_set.labeled_x.shape[1]] + list(cfg.hidden_dims) + [cfg.feature_dim]
+    src = Classifier(
+        MlpExtractor(dims, rng_init_src),
+        LinearHead(source_set.n_classes, cfg.feature_dim, rng_init_src),
+    )
+    try:
+        train_supervised(
+            src, source_set.labeled_x, source_set.labeled_y,
+            cfg.source_epochs, cfg.batch_labeled, cfg.source_eta0, rng_pretrain,
+        )
+    except InvalidInput as exc:
+        raise InvalidInput(f"source pre-training, {exc}") from exc
+    # a view keeps its own flag, so the layers' views are frozen one by one
+    frozen = [src.theta, src.grad, *src.extractor.weights, *src.extractor.biases,
+              src.head.w, src.head.b]
+    for split in (source_set, target_set):
+        frozen += [split.labeled_x, split.labeled_y, split.unlabeled_x,
+                   split.test_x, split.test_y]
+    for a in frozen:
+        a.flags.writeable = False
+    return Setup(source_set, target_set, src)
+
+
+def _prepared(cfg) -> Setup:
+    """`prepare(cfg)`, or inside `shared_setups` the stored Setup of its key."""
+    store = _setups.get()
+    if store is None:
+        return prepare(cfg)
+    values = operator.attrgetter(*SETUP_FIELDS)(cfg)
+    key = tuple(tuple(v) if isinstance(v, list) else v for v in values)  # hidden_dims
+    if key not in store:
+        store[key] = prepare(cfg)
+    return store[key]
+
+
 def run_pipeline(cfg) -> RunResult:
     """Pre-train on the source task, copy and freeze, imprint the target
     head, then fine-tune with the composite loss. Deterministic per seed.
+
+    The set-up comes from `prepare`, or inside `shared_setups` from an
+    earlier run whose config agrees on every SETUP_FIELDS; the result is
+    the same. The labeled split, the target model and the pool's source
+    features and AKC weights are built per run.
 
     Pre-training and fine-tuning run the same SGD loop over the model's
     flat parameter vector. An InvalidInput raised by a fine-tuning step, or
@@ -300,30 +397,14 @@ def run_pipeline(cfg) -> RunResult:
         )
     cfg.validate()
 
-    seeds = np.random.SeedSequence(cfg.seed).spawn(6)
-    rngs = [np.random.default_rng(s) for s in seeds]
-    rng_init_src, rng_pretrain, rng_init_tgt, rng_split, rng_train, rng_noise = rngs
-
-    source_set, target_set = load_task(cfg)
-    target_set = split_labeled(target_set, cfg.n_labeled,
+    _, _, rng_init_tgt, rng_split, rng_train, rng_noise = _rngs(cfg.seed)
+    setup = _prepared(cfg)
+    src = setup.source
+    target_set = split_labeled(setup.target_set, cfg.n_labeled,
                                int(rng_split.integers(2**31)))
-
-    d = source_set.labeled_x.shape[1]
-    c_s = source_set.n_classes
+    c_s = setup.source_set.n_classes
     c_t = target_set.n_classes
-    dims = [d] + list(cfg.hidden_dims) + [cfg.feature_dim]
-
-    src = Classifier(
-        MlpExtractor(dims, rng_init_src),
-        LinearHead(c_s, cfg.feature_dim, rng_init_src),
-    )
-    try:
-        train_supervised(
-            src, source_set.labeled_x, source_set.labeled_y,
-            cfg.source_epochs, cfg.batch_labeled, cfg.source_eta0, rng_pretrain,
-        )
-    except InvalidInput as exc:
-        raise InvalidInput(f"source pre-training, {exc}") from exc
+    del setup  # outside a grid, the data the run no longer reads can go
 
     tgt_ext = copy.deepcopy(src.extractor)
     tgt_head = LinearHead(c_t, cfg.feature_dim, rng_init_tgt)

@@ -1,4 +1,5 @@
 import copy
+import csv
 import os
 
 # One BLAS thread unless the caller chose, set before numpy loads, so the
@@ -12,6 +13,7 @@ import pytest
 
 from akcarc import consistency
 from akcarc.consistency import ArcState, akc_weights, arc_loss
+from akcarc.data import generate_task
 from akcarc.model import Classifier, LinearHead, MlpExtractor, ModelPair
 
 
@@ -97,6 +99,36 @@ def frozen_source(pair, x_l, x_u, cfg):
     computes them for the pool."""
     f0 = pair.source.extractor.forward(np.vstack([x_l, x_u]))
     return f0, akc_weights(pair.source.head, f0, cfg.eps_k(pair.source.head.n_classes))
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Wrap `owner.<name>` for the test; the returned list gets the first
+    argument of each call from now on."""
+    calls, inner = [], getattr(owner, name)
+
+    def counted(first, *args, **kwargs):
+        calls.append(first)
+        return inner(first, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def write_csv_task(directory, spec) -> dict:
+    """Write the synthetic task of `spec` as three CSV files in `directory`
+    and return their paths keyed by config field: source training rows,
+    target training rows and target test rows."""
+    source, target = generate_task(spec)
+    paths = {}
+    for field, x, y in [("source_train_csv", source.labeled_x, source.labeled_y),
+                        ("target_train_csv", target.labeled_x, target.labeled_y),
+                        ("target_test_csv", target.test_x, target.test_y)]:
+        paths[field] = os.path.join(directory, f"{field}.csv")
+        with open(paths[field], "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"f{i}" for i in range(x.shape[1])] + ["label"])
+            writer.writerows([*map(repr, row), lab] for row, lab in zip(x.tolist(), y))
+    return paths
 
 
 @pytest.fixture

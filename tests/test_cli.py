@@ -8,12 +8,14 @@ import warnings
 import numpy as np
 import pytest
 
-from akcarc import cli, model
-from akcarc.cli import main
+from akcarc import cli, model, training
+from akcarc.cli import execute_run, main
 from akcarc.config import ExperimentConfig
-from akcarc.data import SyntheticTaskSpec, generate_task, load_task
+from akcarc.data import SyntheticTaskSpec, load_task
 from akcarc.errors import ConfigError, InvalidInput
 from akcarc.training import run_pipeline
+
+from conftest import count_calls, write_csv_task
 
 
 TINY = [
@@ -23,6 +25,14 @@ TINY = [
     "--set", "source_epochs=2",
     "--set", "epochs=1",
 ]
+
+
+def csv_task(tmp_path) -> list:
+    """`--set` arguments naming three CSV files written from TINY's
+    synthetic task."""
+    paths = write_csv_task(tmp_path, SyntheticTaskSpec(
+        source_train=300, target_train=200, target_test=150))
+    return [arg for field, path in paths.items() for arg in ("--set", f"{field}={path}")]
 
 
 class TestConfig:
@@ -347,19 +357,8 @@ class TestRunCommand:
             run_pipeline(ExperimentConfig(seed=-1))
 
     def test_csv_run_writes_its_files_and_reruns_byte_identically(self, tmp_path):
-        source, target = generate_task(
-            SyntheticTaskSpec(source_train=300, target_train=200, target_test=150))
         argv = ["run", "--out", str(tmp_path / "run"), "--seed", "1",
-                "--set", "source_epochs=2", "--set", "epochs=1"]
-        for field, x, y in [("source_train_csv", source.labeled_x, source.labeled_y),
-                            ("target_train_csv", target.labeled_x, target.labeled_y),
-                            ("target_test_csv", target.test_x, target.test_y)]:
-            path = tmp_path / f"{field}.csv"
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow([f"f{i}" for i in range(x.shape[1])] + ["label"])
-                writer.writerows([*map(repr, row), lab] for row, lab in zip(x.tolist(), y))
-            argv += ["--set", f"{field}={path}"]
+                "--set", "source_epochs=2", "--set", "epochs=1"] + csv_task(tmp_path)
         runs = []
         for _ in range(2):
             assert main(argv) == 0
@@ -422,6 +421,84 @@ class TestRunCommand:
         assert code == 0
         with open(os.path.join(out, "config.json")) as fh:
             assert json.load(fh)["config"]["method"] == "akc"
+
+
+class TestRunDirectory:
+    """A run directory holds the files of the last run into it, and no file
+    of an earlier one."""
+
+    def test_finished_run_removes_the_error_of_a_failed_one(self, tmp_path):
+        out = tmp_path / "x"
+        assert main(["run", "--out", str(out), "--set", "n_labeled=3"] + TINY) == 1
+        assert main(["run", "--out", str(out), "--set", "n_labeled=8"] + TINY) == 0
+        assert sorted(os.listdir(out)) == [
+            "config.json", "metrics.csv", "metrics.json",
+            "source_model.npz", "target_model.npz"]
+
+    def test_failed_run_removes_the_results_of_a_finished_one(self, tmp_path):
+        out = tmp_path / "x"
+        out.mkdir()
+        (out / "notes.txt").write_text("not a run file\n")
+        assert main(["run", "--out", str(out), "--set", "n_labeled=8"] + TINY) == 0
+        assert main(["run", "--out", str(out), "--set", "n_labeled=3"] + TINY) == 1
+        assert sorted(os.listdir(out)) == ["error.json", "notes.txt"]
+        with open(out / "error.json") as fh:
+            assert json.load(fh)["type"] == "InvalidSplit"
+
+
+class TestSharedSetups:
+    """A grid reads its data and pre-trains its source once per seed."""
+
+    @pytest.mark.parametrize("argv,sub_runs", [
+        (["sweep", "--axis", "eps_r", "--values", "0.3,0.7", "--seeds", "2",
+          "--set", "method=arc"], 4),
+        (["compare", "--n-labeled", "8,12", "--seeds", "1"], 14),
+    ], ids=["sweep-eps_r-2-seeds", "compare-2-n_labeled"])
+    def test_sub_runs_equal_runs_outside_a_grid(self, tmp_path, monkeypatch,
+                                                argv, sub_runs):
+        pre_trained = count_calls(monkeypatch, training, "train_supervised")
+        grid = tmp_path / "grid"
+        assert main(argv + ["--out", str(grid)] + TINY) == 0
+        assert len(pre_trained) == int(argv[argv.index("--seeds") + 1])
+        subs = sorted(p for p in grid.iterdir() if p.is_dir())
+        assert len(subs) == sub_runs
+        for sub in subs:
+            solo = tmp_path / "solo" / sub.name
+            cfg = ExperimentConfig.from_json(sub / "config.json")
+            cfg.out_dir = str(solo)
+            execute_run(cfg)
+            names = sorted(os.listdir(sub))
+            assert names == sorted(os.listdir(solo))
+            for name in names:
+                got, want = (sub / name).read_bytes(), (solo / name).read_bytes()
+                if name == "config.json":
+                    got, want = json.loads(got), json.loads(want)
+                    del got["config"]["out_dir"], want["config"]["out_dir"]
+                assert got == want, f"{sub.name}/{name}"
+        assert len(pre_trained) == int(argv[argv.index("--seeds") + 1]) + sub_runs
+
+    def test_grid_over_a_bad_csv_fails_every_sub_run(self, tmp_path, capsys,
+                                                      monkeypatch):
+        args = csv_task(tmp_path)
+        source = tmp_path / "source_train_csv.csv"
+        lines = source.read_text().splitlines(keepends=True)
+        lines[1] = "abc" + lines[1][lines[1].index(","):]
+        source.write_text("".join(lines))
+        prepared = count_calls(monkeypatch, training, "prepare")
+        grid = tmp_path / "grid"
+        code = main(["sweep", "--axis", "eps_r", "--values", "0.3,0.7", "--seeds", "2",
+                     "--out", str(grid), "--set", "epochs=1", "--set", "source_epochs=1"]
+                    + args)
+        assert code == 1
+        message = f"{source}:2:1: non-numeric 'abc'"
+        subs = [grid / f"eps_r_{v}_seed{s}" for v in (0.3, 0.7) for s in (0, 1)]
+        assert capsys.readouterr().err == "".join(
+            f"sub-run failed ({sub}): {message}\n" for sub in subs)
+        for sub in subs:
+            assert os.listdir(sub) == ["error.json"]
+            with open(sub / "error.json") as fh:
+                assert json.load(fh) == {"type": "ParseError", "message": message}
+        assert len(prepared) == len(subs)  # a failed set-up is not kept
 
 
 class TestSweepCommand:

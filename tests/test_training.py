@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -25,10 +26,12 @@ from akcarc.training import (
 
 from conftest import (
     assert_grads_match,
+    count_calls,
     frozen_source,
     hold_sigmas,
     seeded_arc,
     term_grads,
+    write_csv_task,
 )
 import oracles
 
@@ -408,6 +411,85 @@ class TestRunPipeline:
         assert rec["test_acc"] == accuracy(
             res.pair.target, res.target_split.test_x, res.target_split.test_y
         )
+
+
+def recording(obj, reads: set, prefix: str = ""):
+    """A copy of the dataclass `obj` (a config, with its task) that adds the
+    dotted name of each field read from it, or from a copy of it made by
+    `dataclasses.replace`, to `reads`. A read of the task itself is not
+    added; reads of its fields are."""
+    names = {f.name for f in dataclasses.fields(obj)
+             if not dataclasses.is_dataclass(getattr(obj, f.name))}
+
+    class Recording(type(obj)):
+        def __getattribute__(self, name):
+            if name in names:
+                reads.add(prefix + name)
+            return super().__getattribute__(name)
+
+    values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if "task" in values:
+        values["task"] = recording(values["task"], reads, "task.")
+    return Recording(**values)
+
+
+class TestSetup:
+    def test_runs_outside_a_grid_each_pre_train(self, monkeypatch):
+        pre_trained = count_calls(monkeypatch, training, "train_supervised")
+        cfg = tiny_config(method="supervised", epochs=1)
+        run_pipeline(cfg)
+        run_pipeline(cfg)
+        assert len(pre_trained) == 2
+
+    def test_shared_setups_pre_train_once_per_key_and_forget_at_the_end(
+            self, monkeypatch):
+        pre_trained = count_calls(monkeypatch, training, "train_supervised")
+        with training.shared_setups():
+            a = run_pipeline(tiny_config(method="supervised", epochs=1))
+            b = run_pipeline(tiny_config(method="akc+arc", epochs=1, n_labeled=12,
+                                         eps_r_scale=0.3, lambda_r=5.0))
+            assert len(pre_trained) == 1
+            assert b.source_model is a.source_model
+            c = run_pipeline(tiny_config(method="supervised", epochs=1, seed=1))
+            assert len(pre_trained) == 2 and c.source_model is not a.source_model
+        run_pipeline(tiny_config(method="supervised", epochs=1))
+        assert len(pre_trained) == 3
+
+    def test_a_stored_setup_is_read_only(self, monkeypatch):
+        setups, inner = [], training.prepare
+        monkeypatch.setattr(training, "prepare",
+                            lambda cfg: setups.append(inner(cfg)) or setups[-1])
+        cfg = tiny_config(method="akc", epochs=1)
+        with training.shared_setups():
+            res = run_pipeline(cfg)
+            run_pipeline(cfg)
+        (setup,) = setups
+        src = setup.source
+        assert res.source_model is src
+        arrays = [src.theta, src.grad, *src.extractor.weights, *src.extractor.biases,
+                  src.head.w, src.head.b]
+        for split in (setup.source_set, setup.target_set):
+            arrays += [split.labeled_x, split.labeled_y, split.unlabeled_x,
+                       split.test_x, split.test_y]
+        for a in arrays:
+            assert not a.flags.writeable
+            if a.size:
+                with pytest.raises(ValueError, match="read-only"):
+                    a.reshape(-1)[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            res.source_model.params()["ext.W0"] += 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setup.source = None
+
+    def test_setup_key_names_every_field_prepare_reads(self, tmp_path):
+        reads = set()
+        training.prepare(recording(tiny_config(), reads))
+        cfg = tiny_config(**write_csv_task(tmp_path, SyntheticTaskSpec(
+            source_train=100, target_train=80, target_test=40)))
+        training.prepare(recording(cfg, reads))
+        # a field read but not in the key would let a grid share a Setup
+        # between configs that need different ones
+        assert reads == set(training.SETUP_FIELDS)
 
 
 class TestAccuracy:
