@@ -20,7 +20,7 @@ from akcarc.consistency import (
     arc_loss,
 )
 from akcarc.model import Classifier, LinearHead, MlpExtractor, ModelPair
-from akcarc.numerics import entropy_rows, mmd2, softmax_rows
+from akcarc.numerics import entropy_rows, mmd2_value_grad, softmax_rows
 
 rng = np.random.default_rng(0)
 
@@ -79,6 +79,13 @@ for step in range(3):
           f"{frac_l:.2f} labeled / {frac_u:.2f} unlabeled, "
           f"buffers hold {len(state.buf_l)}/{len(state.buf_u)} rows")
 
-# the penalty is the MMD of the fetched sets; equal sets give zero
+# the penalty is the MMD of the fetched sets, computed from the pair
+# distances an ArcState records when the sets are pushed; equal sets give
+# zero, up to rounding
 f = tgt_ext.forward(x_l)
-print(f"\nmmd2 of a set against itself: {mmd2(f, f, [1.0]):.2e}")
+same = ArcState(w=len(f))
+same.buf_l.update(f)
+same.buf_u.update(f)
+same.push()
+value, _, _ = mmd2_value_grad(f, f, [1.0], same)
+print(f"\nMMD^2 of a set against itself: {value:.2e}")

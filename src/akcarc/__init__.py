@@ -12,7 +12,6 @@ from .config import ExperimentConfig
 from .consistency import ArcState, ReplayBuffer, akc_loss, arc_loss
 from .data import SplitSet, SyntheticTaskSpec, generate_task, split_labeled
 from .model import Classifier, LinearHead, MlpExtractor, ModelPair, imprint
-from .numerics import mmd2
 from .ssl_baselines import cross_entropy_loss
 from .training import MetricsLog, cosine_lr, run_pipeline, total_loss
 
@@ -22,6 +21,6 @@ __all__ = [
     "ExperimentConfig", "ArcState", "ReplayBuffer", "akc_loss", "arc_loss",
     "SplitSet", "SyntheticTaskSpec", "generate_task", "split_labeled",
     "Classifier", "LinearHead", "MlpExtractor", "ModelPair", "imprint",
-    "mmd2", "cross_entropy_loss",
+    "cross_entropy_loss",
     "MetricsLog", "cosine_lr", "run_pipeline", "total_loss",
 ]

@@ -184,14 +184,19 @@ def _mean_std(finished, column: int) -> list:
 
 
 def _write_summary(root, header, rows):
-    with open(os.path.join(root, "summary.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Print the grid's table, then write it to `<root>/summary.csv`."""
     print("\t".join(header))
     for row in rows:
         print("\t".join(f"{v:.4f}" if isinstance(v, float) else str(v)
                         for v in row))
+
+    def write(path):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    _write(os.path.join(root, "summary.csv"), write)
 
 
 def cmd_run(args) -> int:

@@ -66,13 +66,6 @@ class ExperimentConfig:
             raise ConfigError(f"method: token {repeated[0]!r} repeats in {self.method!r}")
         return parts
 
-    def ssl_method(self) -> str:
-        parts = self.method_parts()
-        ssl = [p for p in parts if p in ("pseudo_label", "mean_teacher")]
-        if len(ssl) > 1:
-            raise ConfigError("method: at most one SSL baseline may be combined")
-        return ssl[0] if ssl else "none"
-
     # ------------------------------------------------------------- gates
 
     def eps_k(self, n_source_classes: int) -> float:
@@ -90,7 +83,8 @@ class ExperimentConfig:
         bad = [f"{k}={v!r}" for k, v, want in fields if not _has_type(v, want)]
         if bad:
             raise ConfigError("invalid config field types: " + ", ".join(bad))
-        self.ssl_method()
+        if {"pseudo_label", "mean_teacher"} <= set(self.method_parts()):
+            raise ConfigError("method: at most one SSL baseline may be combined")
         checks = [
             ("n_labeled", self.n_labeled >= 2),
             ("lambda_k", self.lambda_k >= 0),

@@ -1,12 +1,12 @@
-"""Dense numeric primitives: row-wise softmax and entropy, pairwise
-distances, the RBF-kernel MMD, and their gradients.
+"""Dense numeric primitives: row-wise softmax and entropy, and the
+RBF-kernel MMD of ARC's windows with its gradient and bandwidths.
 
 All values travel as 2-D row-major float64 numpy arrays ("Tensor2").
 """
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidInput, ShapeError
+from .errors import InvalidInput, ShapeError
 
 # Arguments of log are clamped to at least this, bounding worst-case losses.
 LOG_CLAMP = 1e-12
@@ -50,42 +50,14 @@ def entropy_rows(p: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# distances and MMD
-
-
-def _sq_dists(a, b) -> np.ndarray:
-    """Pairwise squared euclidean distances, rows of a vs rows of b."""
-    d2 = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * a @ b.T
-    return np.maximum(d2, 0.0, out=d2)
-
-
-def mmd2(v, u, sigmas) -> float:
-    """Biased (V-statistic) squared MMD between row sets, summed over sigmas.
-
-    Per bandwidth: mean_ij k(v_i, v_j) + mean_ij k(u_i, u_j)
-    - 2 mean_ij k(v_i, u_j). Zero when the two sets are equal multisets.
-    """
-    v, u = as_tensor2(v), as_tensor2(u)
-    if v.shape[0] == 0 or u.shape[0] == 0:
-        raise EmptyInput("mmd2 requires at least one row per set")
-    if v.shape[1] != u.shape[1]:
-        raise ShapeError(f"dim mismatch: {v.shape[1]} vs {u.shape[1]}")
-    dvv, duu, dvu = _sq_dists(v, v), _sq_dists(u, u), _sq_dists(v, u)
-    total = 0.0
-    for s in sigmas:
-        if s <= 0:
-            raise InvalidInput(f"sigma must be > 0, got {s}")
-        g = 1.0 / (2.0 * s * s)
-        total += (
-            np.exp(-g * dvv).mean()
-            + np.exp(-g * duu).mean()
-            - 2.0 * np.exp(-g * dvu).mean()
-        )
-    return float(total)
+# MMD
 
 
 def mmd2_value_grad(v, u, sigmas, pairs):
-    """mmd2 together with its gradients w.r.t. the new rows of v and of u.
+    """The biased (V-statistic) squared MMD between the row sets v and u,
+    summed over the RBF bandwidths `sigmas`: per bandwidth, mean_ij
+    k(v_i, v_j) + mean_ij k(u_i, u_j) - 2 mean_ij k(v_i, u_j); and its
+    gradients w.r.t. the new rows of v and of u.
 
     `pairs` is ARC's `consistency.ArcState` after the push that made v and
     u its windows: it gives the squared distances of every pair, and the

@@ -6,10 +6,12 @@ import contextvars
 import copy
 import csv
 import dataclasses
+import functools
 import json
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -303,13 +305,19 @@ class RunResult:
 class Setup:
     """The part of a run that depends only on the SETUP_FIELDS of its
     config: the source set, the target set before its labeled split (test
-    rows included) and the source model pre-trained on the source set.
-    Every array, the model's parameters and gradient included, is read-only,
-    so runs can share one Setup."""
+    rows included) and `source`, the source model pre-trained on the source
+    set. `source` is pre-trained by calling `pre_train` the first time it is
+    read, so a run that fails before it reads it (at its labeled split)
+    pre-trains nothing. Every array, the model's parameters and gradient
+    included, is read-only, so runs can share one Setup."""
 
     source_set: SplitSet
     target_set: SplitSet
-    source: Classifier
+    pre_train: Callable[[], Classifier] = field(repr=False)
+
+    @functools.cached_property
+    def source(self) -> Classifier:
+        return self.pre_train()
 
 
 # The Setups of the grid being run, keyed by their SETUP_FIELDS; None outside
@@ -336,33 +344,42 @@ def _rngs(seed: int) -> list:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(6)]
 
 
+def _read_only(arrays):
+    for a in arrays:  # a view keeps its own flag, so views are frozen one by one
+        a.flags.writeable = False
+
+
 def prepare(cfg) -> Setup:
-    """Read the run's data and pre-train its source model. Reads only the
-    SETUP_FIELDS of `cfg`, which must be valid. A diverging pre-training is
-    an InvalidInput that starts with "source pre-training, epoch E, step S"."""
-    rng_init_src, rng_pretrain = _rngs(cfg.seed)[:2]
+    """Read the run's data; the Setup pre-trains its source model when its
+    `source` is first read. Reads only the SETUP_FIELDS of `cfg`, which must
+    be valid, and all of them here. A diverging pre-training is an
+    InvalidInput that starts with "source pre-training, epoch E, step S"."""
     source_set, target_set = load_task(cfg)
+    for split in (source_set, target_set):
+        _read_only([split.labeled_x, split.labeled_y, split.unlabeled_x,
+                    split.test_x, split.test_y])
     dims = [source_set.labeled_x.shape[1]] + list(cfg.hidden_dims) + [cfg.feature_dim]
+    return Setup(source_set, target_set, functools.partial(
+        _pre_train, source_set, dims, cfg.seed, cfg.source_epochs,
+        cfg.batch_labeled, cfg.source_eta0))
+
+
+def _pre_train(source_set, dims, seed, epochs, batch_size, eta0) -> Classifier:
+    """A read-only source model of extractor layer sizes `dims`, trained on
+    `source_set` from the generators of `seed`; each call starts afresh."""
+    rng_init_src, rng_pretrain = _rngs(seed)[:2]
     src = Classifier(
         MlpExtractor(dims, rng_init_src),
-        LinearHead(source_set.n_classes, cfg.feature_dim, rng_init_src),
+        LinearHead(source_set.n_classes, dims[-1], rng_init_src),
     )
     try:
-        train_supervised(
-            src, source_set.labeled_x, source_set.labeled_y,
-            cfg.source_epochs, cfg.batch_labeled, cfg.source_eta0, rng_pretrain,
-        )
+        train_supervised(src, source_set.labeled_x, source_set.labeled_y,
+                         epochs, batch_size, eta0, rng_pretrain)
     except InvalidInput as exc:
         raise InvalidInput(f"source pre-training, {exc}") from exc
-    # a view keeps its own flag, so the layers' views are frozen one by one
-    frozen = [src.theta, src.grad, *src.extractor.weights, *src.extractor.biases,
-              src.head.w, src.head.b]
-    for split in (source_set, target_set):
-        frozen += [split.labeled_x, split.labeled_y, split.unlabeled_x,
-                   split.test_x, split.test_y]
-    for a in frozen:
-        a.flags.writeable = False
-    return Setup(source_set, target_set, src)
+    _read_only([src.theta, src.grad, *src.extractor.weights, *src.extractor.biases,
+                src.head.w, src.head.b])
+    return src
 
 
 def _prepared(cfg) -> Setup:
@@ -399,9 +416,9 @@ def run_pipeline(cfg) -> RunResult:
 
     _, _, rng_init_tgt, rng_split, rng_train, rng_noise = _rngs(cfg.seed)
     setup = _prepared(cfg)
-    src = setup.source
     target_set = split_labeled(setup.target_set, cfg.n_labeled,
                                int(rng_split.integers(2**31)))
+    src = setup.source  # pre-trained only once the split has succeeded
     c_s = setup.source_set.n_classes
     c_t = target_set.n_classes
     del setup  # outside a grid, the data the run no longer reads can go
@@ -421,7 +438,7 @@ def run_pipeline(cfg) -> RunResult:
     akc_pool_fraction = float(pool_akc_w.mean())
 
     teacher = ema = None
-    if cfg.ssl_method() == "mean_teacher":
+    if "mean_teacher" in cfg.method_parts():
         # cfg.noise_std is relative to the pool's mean per-feature std
         teacher = (target_model.copy(),
                    cfg.noise_std * float(pool_x.std(axis=0).mean()))

@@ -22,8 +22,9 @@ from akcarc.consistency import (
     arc_loss,
     entropy_gate,
 )
+from akcarc.errors import ShapeError
 from akcarc.model import Classifier, LinearHead, MlpExtractor, ModelPair
-from akcarc.numerics import median_sigmas, mmd2
+from akcarc.numerics import median_sigmas, mmd2_value_grad
 from akcarc.ssl_baselines import (
     cross_entropy_loss,
     mean_teacher_loss,
@@ -72,21 +73,34 @@ def report(n, name, ok, detail=""):
 
 
 def test_criterion_1_mmd_oracle():
-    """mmd2 equals a brute-force triple-loop kernel sum on 200 instances."""
+    """The MMD kernel of a run, `mmd2_value_grad` on an ArcState into which
+    both sets were pushed, equals a brute-force triple-loop kernel sum on
+    the 174 of 200 instances with 2 rows per set or more; on the other 26,
+    a 1-row set, it raises ShapeError (ARC measures no such window)."""
     rng = np.random.default_rng(0)
     t0 = time.time()
-    worst = 0.0
+    worst, compared, rejected = 0.0, 0, 0
     for _ in range(200):
         m, n = rng.integers(1, 17, size=2)
         d = int(rng.integers(1, 9))
         v = rng.normal(size=(m, d))
         u = rng.normal(size=(n, d))
         sigmas = rng.uniform(0.3, 3.0, size=int(rng.integers(1, 4)))
-        diff = abs(mmd2(v, u, sigmas) - brute_force_mmd2(v, u, sigmas))
-        worst = max(worst, diff)
+        pool = pushed_pool(v, u, (m, n))
+        if min(m, n) < 2:
+            with pytest.raises(ShapeError, match="2 rows per window"):
+                mmd2_value_grad(v, u, sigmas, pool)
+            rejected += 1
+            continue
+        value, _, _ = mmd2_value_grad(v, u, sigmas, pool)
+        worst = max(worst, abs(value - brute_force_mmd2(v, u, sigmas)))
+        compared += 1
     elapsed = time.time() - t0
-    report(1, "mmd oracle", worst < 1e-10 and elapsed < 5,
-           f"(max |diff| {worst:.2e}, {elapsed:.1f}s)")
+    ok = (compared, rejected) == (174, 26) and worst < 1e-10 and elapsed < 5
+    report(1, "mmd oracle", ok,
+           f"({compared} compared, max |diff| {worst:.2e}; {rejected} with a "
+           f"1-row set rejected; {elapsed:.1f}s)")
+    assert (compared, rejected) == (174, 26)
     assert worst < 1e-10
     assert elapsed < 5
 
@@ -377,7 +391,7 @@ def test_criterion_9_arc_mechanism():
             f_l = ext.forward(split.labeled_x)
             f_u = ext.forward(split.unlabeled_x)
             pool = pushed_pool(f_l, f_u, (len(f_l), len(f_u)))
-            vals.append(mmd2(f_l, f_u, median_sigmas(pool)))
+            vals.append(mmd2_value_grad(f_l, f_u, median_sigmas(pool), pool)[0])
         wins += vals[1] < vals[0]
         details.append(f"{vals[0]:.4f}->{vals[1]:.4f}")
     report(9, "arc mechanism", wins == len(SEEDS),

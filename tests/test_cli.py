@@ -38,15 +38,15 @@ def csv_task(tmp_path) -> list:
 class TestConfig:
     def test_method_flags(self):
         cfg = ExperimentConfig(method="akc+arc+pseudo_label")
-        assert {"akc", "arc"} <= set(cfg.method_parts())
-        assert cfg.ssl_method() == "pseudo_label"
+        assert cfg.method_parts() == ["akc", "arc", "pseudo_label"]
+        assert cfg.validate() is cfg
 
     def test_unknown_method_token(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(method="akc+magic").validate()
 
     def test_two_ssl_methods_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="at most one SSL baseline"):
             ExperimentConfig(method="pseudo_label+mean_teacher").validate()
 
     def test_gate_thresholds_are_scaled_max_entropy(self):
@@ -536,6 +536,23 @@ class TestSweepCommand:
             "target_model.npz"]
         with open(out / "summary.csv") as fh:
             assert len(fh.read().strip().splitlines()) == 2
+
+    def test_summary_that_cannot_be_written_is_one_error_line(self, tmp_path, capsys):
+        argv = ["sweep", "--axis", "eps_k", "--values", "0,0.7", "--seeds", "1",
+                "--set", "method=akc"] + TINY
+        out = tmp_path / "sweep"
+        (out / "summary.csv").mkdir(parents=True)
+        code = main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (f"error: cannot write {out / 'summary.csv'}: "
+                                f"{os.strerror(errno.EISDIR)}\n")
+        assert sorted(os.listdir(out)) == ["eps_k_0.0_seed0", "eps_k_0.7_seed0",
+                                           "summary.csv"]
+        for sub in ("eps_k_0.0_seed0", "eps_k_0.7_seed0"):
+            assert sorted(os.listdir(out / sub)) == sorted(cli.RESULT_FILES)
+        assert main(argv + ["--out", str(tmp_path / "ok")]) == 0
+        assert captured.out == capsys.readouterr().out
 
     def test_bad_axis_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -19,7 +19,7 @@ from akcarc.errors import EmptyInput, InvalidInput, ShapeError
 from akcarc.training import run_pipeline
 
 from conftest import assert_grads_match, hold_sigmas, pushed_pool, rows_by_age, term_grads
-from oracles import dense_median_sigmas, dense_mmd2_value_grad
+from oracles import brute_force_mmd2, dense_median_sigmas, dense_mmd2_value_grad
 
 
 def akc_on(pair, x, eps_k, mode="mse", weights=None):
@@ -376,8 +376,8 @@ class TestArcLoss:
     def test_matches_mmd_oracle_on_buffered_sets(self, small_pair, monkeypatch):
         rng = np.random.default_rng(10)
         state = fresh_state()
-        # pre-populate buffers, then check the loss equals mmd2 recomputed
-        # on the fetched sets
+        # pre-populate buffers, then check the loss equals the brute-force
+        # MMD^2 of the fetched sets
         warm_l = rng.normal(size=(5, 5)) + 2.0
         warm_u = rng.normal(size=(5, 5)) - 2.0
         arc_on(small_pair, warm_l, warm_u, np.log(3), state)
@@ -393,7 +393,7 @@ class TestArcLoss:
         star_u = buffer_update_and_fetch(
             snap.buf_u, arc_loss_selected(small_pair, x_u, np.log(3))
         )
-        assert v == pytest.approx(numerics.mmd2(star_l, star_u, sigmas), abs=1e-10)
+        assert v == pytest.approx(brute_force_mmd2(star_l, star_u, sigmas), abs=1e-10)
 
     def test_gradient_finite_differences_with_buffer(self, small_pair, micro_batch,
                                                      monkeypatch):

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from akcarc import numerics
 from akcarc.consistency import akc_loss
-from akcarc.errors import EmptyInput, InvalidInput, ShapeError
+from akcarc.errors import InvalidInput, ShapeError
 
 from conftest import pushed_pool
-from oracles import brute_force_mmd2, pair_sq_dists, rbf_kernel
+from oracles import brute_force_mmd2, dense_mmd2_value_grad, pair_sq_dists, rbf_kernel
 
 
 class TestSoftmax:
@@ -128,17 +128,27 @@ def pool_sigmas(v, u):
     return numerics.median_sigmas(pushed_pool(v, u, (1, 1)))
 
 
+def dense_value(v, u, sig):
+    """The dense oracle's MMD^2 of v and u, which takes sets of any size."""
+    return dense_mmd2_value_grad(v, u, sig)[0]
+
+
 class TestMmd2:
     def test_identical_sets_zero(self):
         rng = np.random.default_rng(2)
         v = rng.normal(size=(5, 3))
-        assert abs(numerics.mmd2(v, v.copy(), [1.3])) <= 1e-12
+        value, _, _ = full_value_grad(v, v.copy(), [1.3])
+        assert abs(value) <= 1e-12
 
     def test_closed_form_singletons(self):
         expect = 2.0 - 2.0 * np.exp(-0.5)
-        assert numerics.mmd2([[0.0]], [[1.0]], [1.0]) == pytest.approx(
+        assert brute_force_mmd2([[0.0]], [[1.0]], [1.0]) == pytest.approx(
             expect, abs=1e-12
         )
+        # the kernel takes 2 rows per set: each point twice is the same
+        # distribution
+        value, _, _ = full_value_grad(np.zeros((2, 1)), np.ones((2, 1)), [1.0])
+        assert value == pytest.approx(expect, abs=1e-12)
         assert expect == pytest.approx(0.786939, abs=1e-6)
 
     def test_brute_force_oracle_200_instances(self):
@@ -148,34 +158,37 @@ class TestMmd2:
             v, u = rng.normal(size=(m, d)), rng.normal(size=(n, d))
             sigmas = list(rng.uniform(0.3, 3.0, size=rng.integers(1, 4)))
             expect = brute_force_mmd2(v, u, sigmas)
-            assert numerics.mmd2(v, u, sigmas) == pytest.approx(expect, abs=1e-10)
+            assert dense_value(v, u, sigmas) == pytest.approx(expect, abs=1e-10)
             if m >= 2 and n >= 2:
                 value, _, _ = full_value_grad(v, u, sigmas)
                 assert value == pytest.approx(expect, abs=1e-10)
+            else:
+                with pytest.raises(ShapeError, match="2 rows per window"):
+                    full_value_grad(v, u, sigmas)
 
     def test_symmetry_and_permutation_invariance(self):
         rng = np.random.default_rng(4)
         v, u = rng.normal(size=(6, 4)), rng.normal(size=(9, 4))
         sig = [0.7, 1.7]
-        base = numerics.mmd2(v, u, sig)
-        assert numerics.mmd2(u, v, sig) == pytest.approx(base, abs=1e-12)
-        assert numerics.mmd2(
+        base, _, _ = full_value_grad(v, u, sig)
+        assert full_value_grad(u, v, sig)[0] == pytest.approx(base, abs=1e-12)
+        assert full_value_grad(
             v[rng.permutation(6)], u[rng.permutation(9)], sig
-        ) == pytest.approx(base, abs=1e-12)
+        )[0] == pytest.approx(base, abs=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             v, u = rng.normal(size=(4, 2)), rng.normal(size=(7, 2))
-            assert numerics.mmd2(v, u, [1.0]) >= -1e-12
+            assert full_value_grad(v, u, [1.0])[0] >= -1e-12
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
-            numerics.mmd2(np.zeros((0, 2)), np.zeros((3, 2)), [1.0])
+        with pytest.raises(ShapeError, match="2 rows per window"):
+            full_value_grad(np.zeros((0, 2)), np.zeros((3, 2)), [1.0])
 
     def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            numerics.mmd2(np.zeros((2, 2)), np.zeros((3, 4)), [1.0])
+        with pytest.raises(ShapeError, match="dim mismatch"):
+            full_value_grad(np.zeros((2, 2)), np.zeros((3, 4)), [1.0])
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -189,20 +202,21 @@ class TestMmd2:
                 i = rng.integers(arr.shape[0])
                 j = rng.integers(arr.shape[1])
                 arr[i, j] += h
-                hi = numerics.mmd2(v, u, sig)
+                hi = dense_value(v, u, sig)
                 arr[i, j] -= 2 * h
-                lo = numerics.mmd2(v, u, sig)
+                lo = dense_value(v, u, sig)
                 arr[i, j] += h
                 fd = (hi - lo) / (2 * h)
                 assert grad[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
 def fd_grad(v, u, sig, arr, i, j, h=1e-5):
-    """Central difference of mmd2 in entry (i, j) of `arr` (v or u)."""
+    """Central difference of the dense oracle's MMD^2 in entry (i, j) of
+    `arr` (v or u)."""
     arr[i, j] += h
-    hi = numerics.mmd2(v, u, sig)
+    hi = dense_value(v, u, sig)
     arr[i, j] -= 2 * h
-    lo = numerics.mmd2(v, u, sig)
+    lo = dense_value(v, u, sig)
     arr[i, j] += h
     return (hi - lo) / (2 * h)
 
@@ -246,7 +260,7 @@ class TestMmd2ValueGradPooled:
         v, u = rng.normal(size=(5, 3)), rng.normal(size=(8, 3))
         sig = [0.4, 1.0, 2.5]
         value, _, _ = full_value_grad(v, u, sig)
-        assert value == pytest.approx(numerics.mmd2(v, u, sig), abs=1e-12)
+        assert value == pytest.approx(brute_force_mmd2(v, u, sig), abs=1e-12)
 
     def test_wrong_distance_shape_rejected(self):
         v, u = np.zeros((2, 2)), np.ones((3, 2))
@@ -278,8 +292,7 @@ class TestMmd2ValueGradLadder:
                     full_value_grad(v, u, sig)
                 continue
             value, _, _ = full_value_grad(v, u, sig)
-            expect = numerics.mmd2(v, u, sig)
-            assert value == pytest.approx(expect, rel=1e-12)
+            assert value == pytest.approx(dense_value(v, u, sig), rel=1e-12)
 
     @pytest.mark.parametrize("sig", [LADDER, NON_LADDER], ids=["ladder", "non-ladder"])
     def test_tail_gradient_finite_differences(self, sig):

@@ -8,7 +8,9 @@ from akcarc.config import ExperimentConfig
 from akcarc.consistency import ArcState
 from akcarc import model as model_module, training
 from akcarc.data import SyntheticTaskSpec, generate_task
-from akcarc.errors import ConfigError, EmptyInput, InvalidInput, InvalidLabel, ShapeError
+from akcarc.errors import (
+    ConfigError, EmptyInput, InvalidInput, InvalidLabel, InvalidSplit, ShapeError,
+)
 from akcarc.model import Classifier, LinearHead, MlpExtractor
 from akcarc.ssl_baselines import cross_entropy_loss
 from akcarc.training import (
@@ -454,6 +456,13 @@ class TestSetup:
             assert len(pre_trained) == 2 and c.source_model is not a.source_model
         run_pipeline(tiny_config(method="supervised", epochs=1))
         assert len(pre_trained) == 3
+
+    def test_an_infeasible_split_pre_trains_nothing(self, monkeypatch):
+        pre_trained = count_calls(monkeypatch, training, "train_supervised")
+        # the tiny task's target has 4 classes, and imprinting needs each
+        with pytest.raises(InvalidSplit, match="n_labeled=3 < 4 classes"):
+            run_pipeline(tiny_config(method="supervised", n_labeled=3))
+        assert pre_trained == []
 
     def test_a_stored_setup_is_read_only(self, monkeypatch):
         setups, inner = [], training.prepare
