@@ -17,10 +17,6 @@ class EmptyInput(AkcArcError):
     """An operand that must be non-empty is empty."""
 
 
-class StateError(AkcArcError):
-    """Operation called in the wrong state (e.g. an unsupported checkpoint)."""
-
-
 class MissingClassError(AkcArcError):
     """A class id has no labeled example where one is required."""
 

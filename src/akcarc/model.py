@@ -1,12 +1,12 @@
 """Two-part network (feature extractor + linear head) over one flat
 parameter vector, its backward pass into one flat gradient vector,
-imprinting initialization, EMA copies, and checkpoint round-tripping."""
+imprinting initialization, EMA copies, and `.npz` checkpoint writing."""
 
 import copy
 
 import numpy as np
 
-from .errors import MissingClassError, ShapeError, StateError
+from .errors import MissingClassError, ShapeError
 from .numerics import as_tensor2, check_finite
 
 CHECKPOINT_VERSION = 1
@@ -226,7 +226,9 @@ def ema_update(teacher: np.ndarray, student: np.ndarray, alpha: float):
 
 
 def save_checkpoint(path, model: Classifier):
-    """Write a versioned npz dump of shapes and parameters (bit-exact)."""
+    """Write `model` to the `.npz` file `path`: its `params()` arrays bit
+    for bit, keyed "ext__W0", "ext__b0", ..., "head__W", "head__b", beside
+    `__dims` (layer sizes), `__classes` and `__version`."""
     arrays = {name.replace(".", "__"): v for name, v in model.params().items()}
     np.savez(
         path,
@@ -236,17 +238,3 @@ def save_checkpoint(path, model: Classifier):
         **arrays,
     )
 
-
-def load_checkpoint(path) -> Classifier:
-    with np.load(path) as z:
-        version = int(z["__version"][0])
-        if version != CHECKPOINT_VERSION:
-            raise StateError(f"unsupported checkpoint version {version}")
-        dims = [int(d) for d in z["__dims"]]
-        n_classes = int(z["__classes"][0])
-        ext = MlpExtractor(dims)
-        head = LinearHead(n_classes, dims[-1])
-        model = Classifier(ext, head)
-        for name, param in model.params().items():
-            param[...] = z[name.replace(".", "__")]
-    return model

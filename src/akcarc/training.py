@@ -308,16 +308,27 @@ class Setup:
     rows included) and `source`, the source model pre-trained on the source
     set. `source` is pre-trained by calling `pre_train` the first time it is
     read, so a run that fails before it reads it (at its labeled split)
-    pre-trains nothing. Every array, the model's parameters and gradient
-    included, is read-only, so runs can share one Setup."""
+    pre-trains nothing. A pre-training that diverged runs once: each read
+    raises an InvalidInput with its message. Every array, the model's
+    parameters and gradient included, is read-only, so runs can share one
+    Setup."""
 
     source_set: SplitSet
     target_set: SplitSet
     pre_train: Callable[[], Classifier] = field(repr=False)
 
     @functools.cached_property
+    def _pre_trained(self):  # the model, or the InvalidInput pre-training raised
+        try:
+            return self.pre_train()
+        except InvalidInput as exc:
+            return exc
+
+    @property
     def source(self) -> Classifier:
-        return self.pre_train()
+        if isinstance(self._pre_trained, InvalidInput):
+            raise InvalidInput(str(self._pre_trained)) from self._pre_trained
+        return self._pre_trained
 
 
 # The Setups of the grid being run, keyed by their SETUP_FIELDS; None outside

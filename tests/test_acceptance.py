@@ -76,10 +76,13 @@ def test_criterion_1_mmd_oracle():
     """The MMD kernel of a run, `mmd2_value_grad` on an ArcState into which
     both sets were pushed, equals a brute-force triple-loop kernel sum on
     the 174 of 200 instances with 2 rows per set or more; on the other 26,
-    a 1-row set, it raises ShapeError (ARC measures no such window)."""
+    a 1-row set, it raises ShapeError (ARC measures no such window). Each
+    compared instance is checked twice: at its drawn bandwidths, and at the
+    `median_sigmas` ladder that runs use, whose 2nd and 3rd bandwidths the
+    kernel reaches by squaring."""
     rng = np.random.default_rng(0)
     t0 = time.time()
-    worst, compared, rejected = 0.0, 0, 0
+    worst, worst_ladder, compared, rejected = 0.0, 0.0, 0, 0
     for _ in range(200):
         m, n = rng.integers(1, 17, size=2)
         d = int(rng.integers(1, 9))
@@ -94,14 +97,21 @@ def test_criterion_1_mmd_oracle():
             continue
         value, _, _ = mmd2_value_grad(v, u, sigmas, pool)
         worst = max(worst, abs(value - brute_force_mmd2(v, u, sigmas)))
+        ladder = median_sigmas(pool)
+        value, _, _ = mmd2_value_grad(v, u, ladder, pool)
+        worst_ladder = max(worst_ladder,
+                           abs(value - brute_force_mmd2(v, u, ladder)))
         compared += 1
     elapsed = time.time() - t0
-    ok = (compared, rejected) == (174, 26) and worst < 1e-10 and elapsed < 5
+    ok = ((compared, rejected) == (174, 26) and worst < 1e-10
+          and worst_ladder < 1e-10 and elapsed < 5)
     report(1, "mmd oracle", ok,
-           f"({compared} compared, max |diff| {worst:.2e}; {rejected} with a "
+           f"({compared} compared, max |diff| {worst:.2e} at drawn sigmas, "
+           f"{worst_ladder:.2e} at the median ladder; {rejected} with a "
            f"1-row set rejected; {elapsed:.1f}s)")
     assert (compared, rejected) == (174, 26)
     assert worst < 1e-10
+    assert worst_ladder < 1e-10
     assert elapsed < 5
 
 

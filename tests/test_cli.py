@@ -500,6 +500,29 @@ class TestSharedSetups:
                 assert json.load(fh) == {"type": "ParseError", "message": message}
         assert len(prepared) == len(subs)  # a failed set-up is not kept
 
+    def test_grid_whose_pre_training_diverges_pre_trains_once_per_seed(
+            self, tmp_path, capsys, monkeypatch):
+        pre_trained = count_calls(monkeypatch, training, "train_supervised")
+        grid = tmp_path / "grid"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["sweep", "--axis", "eps_r", "--values", "0.3,0.7", "--seeds",
+                         "2", "--out", str(grid), "--set", "source_eta0=1e9"] + TINY)
+        assert code == 1
+        assert len(pre_trained) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        lines = capsys.readouterr().err.splitlines()
+        subs = [grid / f"eps_r_{v}_seed{s}" for v in (0.3, 0.7) for s in (0, 1)]
+        assert len(lines) == len(subs)
+        for sub, line in zip(subs, lines):
+            match = re.fullmatch(rf"sub-run failed \({re.escape(str(sub))}\): "
+                                 r"(source pre-training, epoch 1, step \d+: "
+                                 r"logits contains NaN/Inf)", line)
+            assert match
+            assert os.listdir(sub) == ["error.json"]
+            with open(sub / "error.json") as fh:
+                assert json.load(fh) == {"type": "InvalidInput", "message": match[1]}
+
 
 class TestSweepCommand:
     def test_summary_table(self, tmp_path, capsys):

@@ -492,7 +492,7 @@ def open_gate(rows):
     return np.zeros((len(rows), 1))
 
 
-class TestPairPool:
+class TestArcStateRebuild:
     @pytest.mark.slow
     def test_matches_a_full_rebuild_over_a_default_run(self, monkeypatch):
         check = RebuildCheck(monkeypatch)

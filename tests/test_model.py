@@ -11,7 +11,6 @@ from akcarc.model import (
     ModelPair,
     ema_update,
     imprint,
-    load_checkpoint,
     save_checkpoint,
 )
 from akcarc.ssl_baselines import cross_entropy_loss
@@ -191,10 +190,18 @@ class TestCheckpoint:
         model = Classifier(MlpExtractor([5, 8, 4], rng), LinearHead(3, 4, rng))
         path = tmp_path / "model.npz"
         save_checkpoint(path, model)
-        loaded = load_checkpoint(path)
-        for k, v in model.params().items():
-            assert np.array_equal(loaded.params()[k], v)
-        assert loaded.extractor.dims == model.extractor.dims
+        with np.load(path) as z:
+            saved = {name: z[name] for name in z.files}
+        params = {name.replace(".", "__"): v for name, v in model.params().items()}
+        assert sorted(params) == ["ext__W0", "ext__W1", "ext__b0", "ext__b1",
+                                  "head__W", "head__b"]
+        assert set(saved) == set(params) | {"__dims", "__classes", "__version"}
+        for name, v in params.items():
+            assert saved[name].dtype == v.dtype and saved[name].shape == v.shape
+            assert saved[name].tobytes() == v.tobytes()
+        assert saved["__dims"].tolist() == [5, 8, 4]
+        assert saved["__classes"].tolist() == [3]
+        assert saved["__version"].tolist() == [1]
 
 
 class TestModelPair:
