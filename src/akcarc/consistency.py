@@ -209,13 +209,14 @@ def arc_loss(f_l, f_u, logits_l, logits_u, eps_r, state: ArcState):
     Rows of the features `f_l`, `f_u` whose matching logits pass the
     entropy gate at eps_r are pushed into the per-stream replay buffers of
     `state`, which then records their distances; the MMD is computed on
-    the fetched recent-k sets. Gradients flow only through current-batch
-    selected rows (buffered rows are detached). If either fetched set has
-    fewer than 2 rows the loss is 0 with zero gradient. Returns (value,
-    (dR/df_l, dR/df_u), labeled_fraction, unlabeled_fraction).
+    the buffers' windows of the newest w rows each. Gradients flow only
+    through current-batch selected rows (buffered rows are detached). If
+    either window has fewer than 2 rows the loss is 0 with zero gradient.
+    Returns (value, (dR/df_l, dR/df_u), labeled_fraction,
+    unlabeled_fraction).
 
-    The bandwidths come from the median-distance heuristic on the fetched
-    sets and are constants with respect to the gradient.
+    The bandwidths come from the median-distance heuristic on the windows
+    and are constants with respect to the gradient.
     """
     f_l, f_u = as_tensor2(f_l), as_tensor2(f_u)
     idx_l = np.flatnonzero(entropy_gate(logits_l, eps_r))

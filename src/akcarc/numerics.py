@@ -67,9 +67,12 @@ def mmd2_value_grad(v, u, sigmas, pairs):
     a bandwidth heuristic). Returns (value, dv, du) with dv, du shaped like
     v[sv], u[su].
 
+    The gradient reads only the slabs and the value only the pool's
+    distances, so each runs over its own working set, one after the other.
     Bandwidths are taken from largest to smallest. One that is exactly half
     the one before it takes its kernel as the previous kernel to the 4th
-    power (gamma = 1 / (2 sigma^2) grows 4x); any other takes one exp.
+    power (gamma = 1 / (2 sigma^2) grows 4x); any other takes one exp per
+    working set.
     """
     (m, n), (sv, su), slab = (len(v), len(u)), pairs.new, pairs.slab
     if (m, n) != pairs.fill:
@@ -80,31 +83,57 @@ def mmd2_value_grad(v, u, sigmas, pairs):
     sigmas = sorted(sigmas, reverse=True)
     if not sigmas or sigmas[-1] <= 0:
         raise InvalidInput(f"sigmas must be > 0 and at least one, got {sigmas}")
-    tv, parts = sv.size, pairs.parts()
-    segments = (0, parts[0].size, parts[0].size + parts[1].size)
-    p = segments[2] + m * n
-    work = np.empty(p + slab.size)
-    k_pairs, k_slab = work[:p], work[p:].reshape(slab.shape)
-    cells = (k_pairs[:segments[1]], k_pairs[segments[1]:segments[2]],
-             k_pairs[segments[2]:].reshape(n, m), k_slab)
-    # One ladder over the pool and the slabs: the pool gives the value, the
-    # slabs the gradient of the new rows. acc holds sum_i K_i / sigma_i^2.
-    acc, tmp = np.zeros(slab.shape), np.empty(slab.shape)
-    value, prev = 0.0, None
+    # gradient first: of the two orders, this one measured the lower and
+    # steadier process peak RSS in benchmark runs
+    dv, du = _slab_grad(v, u, sv, su, slab, sigmas)
+    value = _pool_value(pairs.parts(), m, n, sigmas)
+    return value, dv, du
+
+
+def _ladder(srcs, outs, work, sigmas):
+    """For each of the descending `sigmas`, write the RBF kernel of the
+    squared distances `srcs` into `work`, whose views `outs` match them,
+    then yield the bandwidth."""
+    prev = None
     for s in sigmas:
         if prev == 2.0 * s:
             work *= work
             work *= work
         else:
-            for src, out in zip(parts + (slab,), cells):
+            for src, out in zip(srcs, outs):
                 np.multiply(src, -0.5 / (s * s), out=out)
             np.exp(work, out=work)
         prev = s
-        acc += np.multiply(k_slab, 1.0 / (s * s), out=tmp)
+        yield s
+
+
+def _pool_value(parts, m, n, sigmas):
+    """The MMD value from the kernels of every pair: `parts` are the
+    distances of the v triangle, the u triangle and the n x m block."""
+    segments = (0, parts[0].size, parts[0].size + parts[1].size)
+    k_pairs = np.empty(segments[2] + m * n)
+    cells = (k_pairs[:segments[1]], k_pairs[segments[1]:segments[2]],
+             k_pairs[segments[2]:].reshape(n, m))
+    value = 0.0
+    for _ in _ladder(parts, cells, k_pairs, sigmas):
         # within-set terms: twice the upper triangle plus the diagonal
         s_v, s_u, s_vu = np.add.reduceat(k_pairs, segments).tolist()
         value += ((2.0 * s_v + m) / (m * m) + (2.0 * s_u + n) / (n * n)
                   - 2.0 * s_vu / (m * n))
+    return value
+
+
+def _slab_grad(v, u, sv, su, slab, sigmas):
+    """The gradients of the new rows v[sv], u[su] from the kernels of their
+    `slab` of distances to every row of [v; u]."""
+    (m, n), tv = (len(v), len(u)), sv.size
+    k_slab, acc, tmp = (np.empty(slab.shape) for _ in range(3))
+    # acc holds sum_i K_i / sigma_i^2; the first bandwidth writes it
+    for i, s in enumerate(_ladder((slab,), (k_slab,), k_slab, sigmas)):
+        if i:
+            acc += np.multiply(k_slab, 1.0 / (s * s), out=tmp)
+        else:
+            np.multiply(k_slab, 1.0 / (s * s), out=acc)
     # w = 2 acc scaled by the term's 1/m^2, 1/n^2 or -1/(m n); per new row
     # r of z = [v; u], dz_r = sum_j w_rj z_j - (sum_j w_rj) z_r
     acc[:tv, :m] *= 2.0 / (m * m)
@@ -114,7 +143,7 @@ def mmd2_value_grad(v, u, sigmas, pairs):
     grad = acc[:, :m] @ v
     grad += acc[:, m:] @ u
     grad -= acc.sum(axis=1)[:, None] * np.concatenate((v[sv], u[su]))
-    return float(value), grad[:tv], grad[tv:]
+    return grad[:tv], grad[tv:]
 
 
 def median_sigmas(pairs):
@@ -132,6 +161,9 @@ def median_sigmas(pairs):
     med = 0.0
     if x.size:
         k = x.size // 2
+        # one partition, then a max over the lower half for an even count:
+        # on numpy 2.4 a two-kth partition((k - 1, k)) of 130816 values took
+        # 1136 us against 220 us
         x.partition(k)
         med = float(np.sqrt(x[k]))
         if x.size % 2 == 0:

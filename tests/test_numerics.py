@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -316,11 +318,12 @@ class TestMmd2ValueGradLadder:
         np.testing.assert_allclose(tdv, dv[-7:], rtol=1e-13, atol=1e-15)
         np.testing.assert_allclose(tdu, du[-11:], rtol=1e-13, atol=1e-15)
 
-    @pytest.mark.parametrize("sig,exps", [(LADDER, 1), (NON_LADDER, 3)],
+    @pytest.mark.parametrize("sig,exps", [(LADDER, 2), (NON_LADDER, 6)],
                              ids=["ladder", "non-ladder"])
     def test_one_exp_per_block_on_a_ladder(self, monkeypatch, sig, exps):
-        # the pool's distances and the slabs share one work buffer, so each
-        # exp covers both
+        # the value's pool and the gradient's slabs are two working sets:
+        # one exp each per bandwidth that is not half the one before, so a
+        # ladder's 2nd and 3rd kernels come from squarings
         calls, exp = [], np.exp
         monkeypatch.setattr(numerics.np, "exp", lambda *a, **k: calls.append(1) or exp(*a, **k))
         rng = np.random.default_rng(13)
@@ -332,6 +335,22 @@ class TestMmd2ValueGradLadder:
         for sigmas in ([1.0, 0.0], []):
             with pytest.raises(InvalidInput):
                 full_value_grad(v, u, sigmas)
+
+    def test_peak_memory_at_full_windows(self):
+        # the value's pool buffer and the gradient's slab buffers are never
+        # alive at once, so one call's traced peak stays under the size of
+        # the pool's distances plus the slab, which the state already holds
+        rng = np.random.default_rng(14)
+        v, u = rng.normal(size=(256, 32)), rng.normal(size=(256, 32)) + 0.3
+        state = pushed_pool(v, u, (37, 45))
+        sig = numerics.median_sigmas(state)
+        tracemalloc.start()
+        try:
+            numerics.mmd2_value_grad(v, u, sig, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= state.d2.nbytes + state.slab.nbytes, peak
 
 
 @settings(max_examples=50, deadline=None)
